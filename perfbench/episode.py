@@ -10,13 +10,17 @@
 and reads the one JSON object it prints. `setup` times set-up only. An
 episode plans every batch of the workload on a fresh `Planner` and re-checks
 each plan with `validate_plan`, as `run_experiment` does, but writes no
-files. With `--trace 1`, untraced and traced episodes alternate, so the
-two can be compared for behaviour and for tracing overhead.
+files. With `--trace 0`, set-up and episodes run under a `SpeedProbe`
+(perfbench/speed.py), and their times are reported at the probe's nominal
+machine speed. With `--trace 1`, untraced and traced episodes alternate,
+without the probe, so the two can be compared for behaviour and for
+tracing overhead.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import hashlib
@@ -32,6 +36,7 @@ ROOT = HERE.parent
 SPANS_DIR = HERE / "out"
 
 sys.path.insert(0, str(HERE))
+from speed import SpeedProbe  # noqa: E402
 from workloads import SIZES, TOPOLOGY_SEED, WORKLOADS, config_fields  # noqa: E402
 
 
@@ -64,31 +69,51 @@ def setup(workload: str, seed: int, size: str):
     return time.perf_counter() - t0, cfg, net, batches, planner
 
 
-def run_episode(planner, net, batches, tracer=None) -> dict:
+def probed_setup(workload: str, seed: int, size: str):
+    """`setup` under a `SpeedProbe`: the same tuple, with the time taken
+    at nominal machine speed, followed by the time as measured."""
+    with SpeedProbe() as probe:
+        t0 = time.perf_counter()
+        _, *rest = setup(workload, seed, size)
+        raw = time.perf_counter() - t0 - probe.stolen
+    return (raw * probe.scale_since(0), *rest, raw)
+
+
+def run_episode(planner, net, batches, tracer=None, probe=None) -> dict:
     """Plan every batch in order; time each `iterate` + `validate_plan`.
 
     Deletions of streams the planner rejected earlier are dropped, as in
-    `run_experiment`. The scenario's batches are not modified.
+    `run_experiment`. The scenario's batches are not modified. With a
+    running `probe`, the time of its reference chunks is left out of every
+    timing, and `wall_s` and the update latencies are scaled to nominal
+    speed by the chunks taken during this episode; `raw_wall_s` is the
+    wall time as measured.
     """
     from tsnplan import solver
     from tsnplan.harness import plan_to_dict
     from tsnplan.model import StreamBatch
 
+    def stolen() -> float:
+        return probe.stolen if probe is not None else 0.0
+
+    first_sample = len(probe.samples) if probe is not None else 0
     latencies = []
     problems: list[str] = []
     invalid = rejected = offered = 0
     t0 = time.perf_counter()
+    s0 = stolen()
     for b in batches:
         if tracer is not None:
             tracer.iteration = b.iteration
         tb = time.perf_counter()
+        sb = stolen()
         batch = StreamBatch(
             b.iteration, add=b.add,
             delete=[d for d in b.delete if d in planner.state.admitted],
         )
         m = planner.iterate(batch)
         found = solver.validate_plan(net, planner.state.plan)
-        latencies.append(time.perf_counter() - tb)
+        latencies.append(time.perf_counter() - tb - (stolen() - sb))
         if set(planner.state.plan.assignments) != set(planner.state.admitted):
             found = found + ["plan does not cover exactly the admitted streams"]
         if found:
@@ -96,12 +121,18 @@ def run_episode(planner, net, batches, tracer=None) -> dict:
             problems.append(f"iteration {b.iteration}: {found[:3]}")
         rejected += m.rejected
         offered += len(b.add)
-    wall = time.perf_counter() - t0
+    wall = time.perf_counter() - t0 - (stolen() - s0)
+    raw_wall = wall
+    if probe is not None:
+        factor = probe.scale_since(first_sample)
+        wall *= factor
+        latencies = [t * factor for t in latencies]
 
     plan_json = json.dumps(plan_to_dict(planner.state.plan), sort_keys=True)
     updates = latencies[1:] or latencies  # an offline scenario has one batch
     return {
         "wall_s": wall,
+        "raw_wall_s": raw_wall,
         "update_ms_p50": percentile(updates, 0.5) * 1000,
         "update_ms_p90": percentile(updates, 0.9) * 1000,
         "update_samples": len(updates),
@@ -174,37 +205,45 @@ def layer_metrics(tracer, ep: dict) -> tuple[dict, list[str], dict]:
 
 
 def measure(args) -> dict:
-    setup_s, cfg, net, batches, planner = setup(args.workload, args.seed, args.size)
+    if args.trace:
+        setup_s, cfg, net, batches, planner = setup(args.workload, args.seed, args.size)
+        raw_setup_s = setup_s
+    else:
+        setup_s, cfg, net, batches, planner, raw_setup_s = probed_setup(
+            args.workload, args.seed, args.size)
     from tsnplan.solver import Planner
 
-    tracer = None
+    tracer = probe = None
     if args.trace:
         from tracing import Tracer
 
         tracer = Tracer()
+    else:
+        probe = SpeedProbe()
     episodes = []
     errors: list[str] = []
     deadline = time.perf_counter() + args.seconds
-    while True:
-        # untraced and traced episodes in ABBA order, so slow drift of the
-        # machine's speed cancels out of the tracing overhead
-        traced = tracer is not None and len(episodes) % 4 in (1, 2)
-        if planner is None:
-            planner = Planner(net, cfg.expansion_params(), k_routes=cfg.k_routes)
-        if traced:
-            tracer.reset()
-            with tracer.installed():
-                ep = run_episode(planner, net, batches, tracer)
-            ep["layers"], errs, ep["self_share"] = layer_metrics(tracer, ep)
-            errors.extend(errs)
-        else:
-            ep = run_episode(planner, net, batches)
-        ep["traced"] = traced
-        episodes.append(ep)
-        planner = None
-        gc.collect()
-        if time.perf_counter() >= deadline and len(episodes) >= (1 if tracer is None else 2):
-            break
+    with probe if probe is not None else contextlib.nullcontext():
+        while True:
+            # untraced and traced episodes in ABBA order, so slow drift of the
+            # machine's speed cancels out of the tracing overhead
+            traced = tracer is not None and len(episodes) % 4 in (1, 2)
+            if planner is None:
+                planner = Planner(net, cfg.expansion_params(), k_routes=cfg.k_routes)
+            if traced:
+                tracer.reset()
+                with tracer.installed():
+                    ep = run_episode(planner, net, batches, tracer)
+                ep["layers"], errs, ep["self_share"] = layer_metrics(tracer, ep)
+                errors.extend(errs)
+            else:
+                ep = run_episode(planner, net, batches, probe=probe)
+            ep["traced"] = traced
+            episodes.append(ep)
+            planner = None
+            gc.collect()
+            if time.perf_counter() >= deadline and len(episodes) >= (1 if tracer is None else 2):
+                break
 
     if any(ep["counts"] != episodes[0]["counts"] for ep in episodes):
         errors.append("episodes of one seed differ in counts: "
@@ -216,6 +255,7 @@ def measure(args) -> dict:
         tracer.write_spans(spans_file)
     return {
         "setup_s": setup_s,
+        "raw_setup_s": raw_setup_s,
         "config": dataclasses.asdict(cfg),
         "episodes": episodes,
         "errors": errors,
@@ -238,7 +278,8 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     if args.mode == "setup":
-        out = {"setup_s": setup(args.workload, args.seed, args.size)[0]}
+        timed = probed_setup(args.workload, args.seed, args.size)
+        out = {"setup_s": timed[0], "raw_setup_s": timed[-1]}
     else:
         out = measure(args)
     print(json.dumps(out))

@@ -15,7 +15,9 @@ only when every plan passed the oracle and every consistency check held.
 Each measurement runs in a child process (perfbench/episode.py) that loads
 tsnplan from this checkout's `src/`, so the child's peak RSS is the
 workload's own. Set-up is timed in several fresh processes and reported as
-the median. `--size tiny` runs a small version of each workload, for the
+the median. With `--trace 0`, times are scaled to the nominal machine
+speed of perfbench/speed.py; the times as measured are printed on the
+`raw` lines. `--size tiny` runs a small version of each workload, for the
 benchmark's self-tests.
 """
 
@@ -154,7 +156,7 @@ def summarize(trace: bool, run: dict, setup_samples: list[float]) -> tuple[dict,
     return result, 0 if correct else 1
 
 
-def report(args, run: dict, setup_samples: list[float]) -> None:
+def report(args, run: dict, setups: list[dict]) -> None:
     """Human-readable lines printed before the result."""
     episodes = run["episodes"]
     c = episodes[0]["counts"]
@@ -164,9 +166,12 @@ def report(args, run: dict, setup_samples: list[float]) -> None:
     print("counts: " + " ".join(f"{k}={v}" for k, v in c.items()))
     print(f"episodes: {len(episodes)} ({sum(e['traced'] for e in episodes)} traced); "
           f"update samples per episode: {episodes[0]['update_samples']}; "
-          f"set-up samples: {len(setup_samples)}")
+          f"set-up samples: {len(setups)}")
+    print("setup_s per process: " + " ".join(f"{s['setup_s']:.4f}" for s in setups))
+    print("raw setup_s per process: " + " ".join(f"{s['raw_setup_s']:.4f}" for s in setups))
     print("wall_s per episode: " + " ".join(
         f"{e['wall_s']:.3f}{'T' * e['traced']}" for e in episodes))
+    print("raw wall_s per episode: " + " ".join(f"{e['raw_wall_s']:.3f}" for e in episodes))
     traced = [e for e in episodes if e["traced"]]
     if traced:
         names = sorted(traced[0]["self_share"], key=lambda n: -traced[0]["self_share"][n])
@@ -203,18 +208,19 @@ def main(argv=None) -> int:
     deadline = time.monotonic() + TIME_LIMIT_S
     common = ["--workload", args.workload, "--seed", str(args.seed), "--size", args.size]
     try:
-        setup_samples = []
+        setups = []
         if not args.trace:
             for _ in range(EXTRA_SETUP_PROCESSES):
-                setup_samples.append(run_child(["setup", *common], deadline)["setup_s"])
+                setups.append(run_child(["setup", *common], deadline))
         run = run_child(["measure", *common, "--seconds", str(args.seconds),
                          "--trace", str(args.trace)], deadline)
     except ChildFailed as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    setup_samples.append(run["setup_s"])
+    setups.append(run)
+    setup_samples = [s["setup_s"] for s in setups]
     result, code = summarize(bool(args.trace), run, setup_samples)
-    report(args, run, setup_samples)
+    report(args, run, setups)
     print(json.dumps(result))
     return code
 

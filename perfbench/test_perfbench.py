@@ -107,3 +107,22 @@ def test_run_fails_without_the_program(tmp_path):
                  "--trace", "0", cwd=tmp_path)
     assert proc.returncode != 0
     assert '"correct"' not in proc.stdout
+
+
+def test_speed_probe_scales_to_nominal_speed_and_restores_the_signal_handler():
+    import signal
+    import time
+
+    import speed
+
+    before = signal.getsignal(signal.SIGALRM)
+    with speed.SpeedProbe() as probe:
+        t0 = time.perf_counter()
+        while time.perf_counter() - t0 < 0.2:
+            pass
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert len(probe.samples) >= 5
+    assert probe.stolen == pytest.approx(sum(probe.samples))
+    half_speed = [2 * speed.NOMINAL_CHUNK_S] * 9 + [100.0]  # one outlier left out
+    assert speed.scale(half_speed) == pytest.approx(0.5)
