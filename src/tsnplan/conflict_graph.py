@@ -10,6 +10,13 @@ Insertion checks the new configuration against every existing one. To keep
 that affordable at graph sizes in the tens of thousands, occupancy intervals
 are indexed per directed link in flat numpy arrays and the periodic-overlap
 test runs vectorized over each link's interval list.
+
+Vertex ids are never reused; a removed vertex leaves an empty id slot. The
+live edges are one pair of int64 arrays, (earlier vid, later vid), ordered
+by the later vid. An insertion only queues its sorted array of earlier-vid
+neighbours; queued arrays are merged into the pair when the edges are next
+read. Removals are flushed lazily by one mask over the pair, and the CSR
+matrix, the degrees and every metric are derived from the pair.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import scipy.sparse as sp
 
 from .model import Network, Stream
 from .routing import Route
-from .timing import OccupancySchedule, link_occupancy, max_phase
+from .timing import OccupancySchedule, link_occupancy, max_phase, periodic_overlap
 
 PAGERANK_DAMPING = 0.85
 PAGERANK_ITERATIONS = 4
@@ -62,18 +69,18 @@ class Configuration:
 class _Bucket:
     """Growable interval store for one directed link."""
 
-    __slots__ = ("n", "vid", "start", "length", "period", "color")
+    __slots__ = ("n", "vid", "start", "end", "period", "color")
 
     def __init__(self):
         self.n = 0
         cap = 16
         self.vid = np.empty(cap, dtype=np.int64)
         self.start = np.empty(cap, dtype=np.int64)
-        self.length = np.empty(cap, dtype=np.int64)
+        self.end = np.empty(cap, dtype=np.int64)
         self.period = np.empty(cap, dtype=np.int64)
         self.color = np.empty(cap, dtype=np.int64)
 
-    def append(self, vid: int, start: int, length: int, period: int, color: int):
+    def append(self, vid: int, start: int, end: int, period: int, color: int):
         if self.n == len(self.vid):
             for name in self.__slots__[1:]:
                 arr = getattr(self, name)
@@ -83,7 +90,7 @@ class _Bucket:
         i = self.n
         self.vid[i] = vid
         self.start[i] = start
-        self.length[i] = length
+        self.end[i] = end
         self.period[i] = period
         self.color[i] = color
         self.n += 1
@@ -94,17 +101,10 @@ class _Bucket:
         n = self.n
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        sb = self.start[:n]
-        lb = self.length[:n]
-        pb = self.period[:n]
-        g = np.gcd(pb, period)
-        h = (pb // g) * period
-        d = sb - start
-        la = end - start
-        lo = np.maximum(-lb - d + 1, -(h - period))
-        hi = np.minimum(la - d - 1, h - pb)
-        hit = (lo <= hi) & (lo <= (hi // g) * g) & (self.color[:n] != color)
-        return self.vid[:n][hit]
+        hit = periodic_overlap(
+            start, end, period, self.start[:n], self.end[:n], self.period[:n]
+        )
+        return self.vid[:n][hit & (self.color[:n] != color)]
 
     def filter(self, keep_mask: np.ndarray):
         n = self.n
@@ -117,16 +117,16 @@ class _Bucket:
 
 class ConflictGraph:
     def __init__(self):
-        self._configs: list[Configuration | None] = []
-        self._alive: list[bool] = []
-        self._n_alive = 0
+        self._configs: list[Configuration | None] = []  # by vid, None once removed
         self._color_vids: dict[str, list[int]] = {}
         self._key2vid: dict[tuple[str, int, int], int] = {}
         self._color_code: dict[str, int] = {}
         self._buckets: dict[tuple[str, str], _Bucket] = {}
-        self._back: list[np.ndarray] = []  # conflicts to earlier vids
-        self._deg = np.zeros(16, dtype=np.int64)  # capacity-doubled, len(_configs) used
-        self._edges = 0
+        # live edges as (earlier vid, later vid), ordered by the later vid
+        self._lo = np.empty(0, dtype=np.int64)
+        self._hi = np.empty(0, dtype=np.int64)
+        # earlier-vid neighbours of each vertex inserted since the last merge
+        self._pending: list[np.ndarray] = []
         self._pending_removal = False
         self._csr: sp.csr_matrix | None = None
 
@@ -134,7 +134,7 @@ class ConflictGraph:
 
     @property
     def vertex_count(self) -> int:
-        return self._n_alive
+        return len(self._key2vid)
 
     @property
     def slot_count(self) -> int:
@@ -143,8 +143,7 @@ class ConflictGraph:
 
     @property
     def edge_count(self) -> int:
-        self._flush_removals()
-        return self._edges
+        return len(self._edge_pair()[0])
 
     def colors(self) -> set[str]:
         return set(self._color_vids)
@@ -159,14 +158,13 @@ class ConflictGraph:
         return cfg
 
     def vids(self) -> list[int]:
-        return [v for v in range(len(self._configs)) if self._alive[v]]
+        return sorted(self._key2vid.values())
 
     def find_vid(self, stream_id: str, route_index: int, phase: int) -> int | None:
         return self._key2vid.get((stream_id, route_index, phase))
 
     def degree(self, vid: int) -> int:
-        self._flush_removals()
-        return int(self._deg[vid])
+        return int(self._degrees()[vid])
 
     def neighbors(self, vid: int) -> np.ndarray:
         m = self.csr()
@@ -176,12 +174,8 @@ class ConflictGraph:
         return v in self.neighbors(u)
 
     def edges(self) -> list[tuple[int, int]]:
-        self._flush_removals()
-        out = []
-        for v in range(len(self._configs)):
-            if self._alive[v]:
-                out.extend((int(u), v) for u in self._back[v])
-        return out
+        lo, hi = self._edge_pair()
+        return list(zip(lo.tolist(), hi.tolist()))
 
     # -- mutation ----------------------------------------------------------
 
@@ -205,21 +199,12 @@ class ConflictGraph:
 
         vid = len(self._configs)
         self._configs.append(cfg)
-        self._alive.append(True)
-        self._n_alive += 1
-        self._back.append(nbrs)
-        if vid == len(self._deg):
-            grown = np.zeros(2 * len(self._deg), dtype=np.int64)
-            grown[:vid] = self._deg
-            self._deg = grown
-        self._deg[vid] = len(nbrs)
-        self._deg[nbrs] += 1  # nbrs is unique, fancy add is safe
-        self._edges += len(nbrs)
+        self._pending.append(nbrs)
         self._color_vids.setdefault(sid, []).append(vid)
         self._key2vid[cfg.key] = vid
         for link_key, start, end in cfg.schedule.entries:
             bucket = self._buckets.setdefault(link_key, _Bucket())
-            bucket.append(vid, start, end - start, period, code)
+            bucket.append(vid, start, end, period, code)
         self._csr = None
         return vid
 
@@ -230,67 +215,69 @@ class ConflictGraph:
         for v in vids:
             self._key2vid.pop(self._configs[v].key)
             self._configs[v] = None
-            self._alive[v] = False
-        self._n_alive -= len(vids)
         self._pending_removal = True
         self._csr = None
         return len(vids)
 
+    def _alive_mask(self) -> np.ndarray:
+        alive = np.zeros(len(self._configs), dtype=bool)
+        alive[list(self._key2vid.values())] = True
+        return alive
+
+    def _edge_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live edges: removals flushed, pending insertions merged."""
+        self._flush_removals()
+        self._merge_pending()
+        return self._lo, self._hi
+
+    def _merge_pending(self) -> None:
+        if self._pending:
+            first = len(self._configs) - len(self._pending)
+            counts = [len(nbrs) for nbrs in self._pending]
+            later = np.repeat(np.arange(first, len(self._configs)), counts)
+            self._lo = np.concatenate([self._lo, *self._pending])
+            self._hi = np.concatenate([self._hi, later])
+            self._pending = []
+
     def _flush_removals(self) -> None:
-        """Purge dead vertices from the link index and adjacency; done once
-        per removal batch, on the next query or insertion."""
+        """Purge dead vertices from the link index and the edge list; done
+        once per removal batch, on the next query or insertion."""
         if not self._pending_removal:
             return
-        alive = np.array(self._alive, dtype=bool)
+        alive = self._alive_mask()
         for bucket in self._buckets.values():
             n = bucket.n
             if n:
                 bucket.filter(alive[bucket.vid[:n]])
-        deg = np.zeros(len(self._configs), dtype=np.int64)
-        edges = 0
-        for v in range(len(self._configs)):
-            if not alive[v]:
-                self._back[v] = np.empty(0, dtype=np.int64)
-                continue
-            nb = self._back[v]
-            if len(nb):
-                nb = nb[alive[nb]]
-                self._back[v] = nb
-            deg[v] += len(nb)
-            deg[nb] += 1
-            edges += len(nb)
-        self._deg = deg
-        self._edges = edges
+        self._merge_pending()
+        keep = alive[self._lo] & alive[self._hi]
+        self._lo, self._hi = self._lo[keep], self._hi[keep]
         self._pending_removal = False
 
     # -- derived structure and metrics -------------------------------------
 
     def csr(self) -> sp.csr_matrix:
-        self._flush_removals()
-        if self._csr is None:
+        if self._csr is None:  # a removal or insertion drops the cache
+            lo, hi = self._edge_pair()
             n = len(self._configs)
-            rows = [np.empty(0, dtype=np.int64)]
-            cols = [np.empty(0, dtype=np.int64)]
-            for v in range(n):
-                nb = self._back[v]
-                if self._alive[v] and len(nb):
-                    rows.append(np.full(len(nb), v, dtype=np.int64))
-                    cols.append(nb)
-            r = np.concatenate(rows)
-            c = np.concatenate(cols)
-            data = np.ones(2 * len(r), dtype=np.int8)
             self._csr = sp.csr_matrix(
-                (data, (np.concatenate([r, c]), np.concatenate([c, r]))),
+                (
+                    np.ones(2 * len(lo), dtype=np.int8),
+                    (np.concatenate([hi, lo]), np.concatenate([lo, hi])),
+                ),
                 shape=(n, n),
             )
         return self._csr
+
+    def _degrees(self) -> np.ndarray:
+        """Degree of every vid slot; 0 for removed ones."""
+        return np.diff(self.csr().indptr)
 
     def avg_degree(self, stream_id: str) -> Fraction:
         vids = self._color_vids.get(stream_id)
         if not vids:
             raise NoVertices(f"stream {stream_id!r} has no vertices")
-        self._flush_removals()
-        return Fraction(int(sum(self._deg[v] for v in vids)), len(vids))
+        return Fraction(int(self._degrees()[vids].sum()), len(vids))
 
     def page_rank(
         self,
@@ -300,13 +287,13 @@ class ConflictGraph:
         """Power iteration treating each edge as two directed arcs; degree-0
         vertices spread their mass uniformly. Scores are renormalized every
         iteration and sum to 1."""
-        n = self._n_alive
+        n = self.vertex_count
         if n == 0:
             return {}
         m = self.csr()
-        slots = len(self._configs)
-        alive = np.array(self._alive, dtype=bool)
-        deg = np.asarray(m.sum(axis=1)).ravel().astype(np.float64)
+        alive = self._alive_mask()
+        live = np.flatnonzero(alive)
+        deg = self._degrees().astype(np.float64)
         dangling = alive & (deg == 0)
         safe = np.where(deg > 0, deg, 1.0)
         p = np.where(alive, 1.0 / n, 0.0)
@@ -316,7 +303,7 @@ class ConflictGraph:
             p_new = (1.0 - damping) / n + damping * (spread + mass / n)
             p_new = np.where(alive, p_new, 0.0)
             p = p_new / p_new.sum()
-        return {v: float(p[v]) for v in range(slots) if alive[v]}
+        return dict(zip(live.tolist(), p[live].tolist()))
 
     def stream_rank(self, pr: dict[int, float], stream_id: str) -> float:
         vids = self._color_vids.get(stream_id)

@@ -9,6 +9,7 @@ distributed totals are preserved deterministically.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -49,7 +50,6 @@ class ExpansionParams:
 @dataclass
 class ExpansionReport:
     vertices_added: int = 0
-    edges_added: int = 0
     seconds: float = 0.0
     budgets: dict[str, int] = field(default_factory=dict)
     surplus: dict[str, int] = field(default_factory=dict)  # budget a stream could not use
@@ -205,45 +205,43 @@ def budget_traffic_volume(
 
 def _metric_budget(metrics: dict, r_i: int, order: list[str]) -> dict[str, int]:
     """Shared shape of the avg-degree and page-rank formulas: extras
-    proportional to the distance below the hardest stream's metric."""
+    proportional to the distance below the hardest stream's metric.
+
+    Near-equal float totals count as degenerate and split evenly. An exact
+    nonzero average-degree denominator is at least 1/lcm of the streams'
+    vertex counts, which are at most alpha when the budget is computed, so
+    for alpha <= 28 it always clears the tolerance."""
     top = max(metrics.values())
     denom = top * len(order) - sum(metrics.values())
-    if denom == 0:
+    if abs(denom) < 1e-12:
         return _uniform_split(r_i, order)
     raws = {sid: (top - metrics[sid]) / denom * r_i for sid in order}
     return _largest_remainder(raws, r_i, order)
+
+
+def _metric_or_zero(metric, order: list[str]) -> dict:
+    """metric(stream id) for each stream, 0 for a stream without vertices."""
+    out = {}
+    for sid in order:
+        try:
+            out[sid] = metric(sid)
+        except NoVertices:
+            out[sid] = 0
+    return out
 
 
 def budget_avg_degree(batch: StreamBatch, r_i: int, g: ConflictGraph) -> dict[str, int]:
     """Step-two budgets from per-stream average vertex degree after the base
     expansion; base budgets are already placed, so no alpha term."""
     order = [s.id for s in batch.add]
-    degs = {}
-    for sid in order:
-        try:
-            degs[sid] = g.avg_degree(sid)
-        except NoVertices:
-            degs[sid] = Fraction(0)
-    return _metric_budget(degs, r_i, order)
+    return _metric_budget(_metric_or_zero(g.avg_degree, order), r_i, order)
 
 
 def budget_page_rank(batch: StreamBatch, r_i: int, g: ConflictGraph) -> dict[str, int]:
     """Like budget_avg_degree but with 4-iteration page-rank stream scores."""
     order = [s.id for s in batch.add]
-    pr = g.page_rank()
-    ranks = {}
-    for sid in order:
-        try:
-            ranks[sid] = g.stream_rank(pr, sid)
-        except NoVertices:
-            ranks[sid] = 0.0
-    # float scores: treat near-equal totals as degenerate
-    top = max(ranks.values())
-    denom = top * len(order) - sum(ranks.values())
-    if abs(denom) < 1e-12:
-        return _uniform_split(r_i, order)
-    raws = {sid: (top - ranks[sid]) / denom * r_i for sid in order}
-    return _largest_remainder(raws, r_i, order)
+    ranks = _metric_or_zero(functools.partial(g.stream_rank, g.page_rank()), order)
+    return _metric_budget(ranks, r_i, order)
 
 
 def expand(
@@ -265,7 +263,6 @@ def expand(
     report = ExpansionReport()
     vbar = global_budget(params.cps, len(live_streams))
     v0 = g.vertex_count
-    e0 = g.edge_count
     new_streams = batch.add
     if not new_streams:
         report.seconds = time.perf_counter() - t0
@@ -318,6 +315,5 @@ def expand(
 
     report.budgets = budgets
     report.vertices_added = g.vertex_count - v0
-    report.edges_added = g.edge_count - e0
     report.seconds = time.perf_counter() - t0
     return report

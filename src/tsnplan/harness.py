@@ -314,9 +314,9 @@ def run_experiment(
     metrics: list[IterationMetrics] = []
     for batch in batches:
         # scenario batches assume nothing was rejected; drop deletions of
-        # streams that never made it in
-        batch.delete = [d for d in batch.delete if d in planner.state.admitted]
-        m = planner.iterate(batch)
+        # streams that never made it in, from a copy of the caller's batch
+        delete = [d for d in batch.delete if d in planner.state.admitted]
+        m = planner.iterate(StreamBatch(batch.iteration, batch.add, delete))
         problems = validate_plan(net, planner.state.plan)
         if problems:
             raise PlanValidationError(batch.iteration, problems)

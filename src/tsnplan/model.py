@@ -180,7 +180,6 @@ class IterationState:
 
     admitted: dict[str, Stream] = field(default_factory=dict)
     plan: "object" = None  # solver.TrafficPlan
-    rejected_history: list[set[str]] = field(default_factory=list)
 
 
 def traffic_volume(stream: Stream) -> Fraction:

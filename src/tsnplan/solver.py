@@ -234,20 +234,22 @@ class Planner:
         g = self.graph
         state = self.state
         batch.check(set(state.admitted))
-
-        for sid in batch.delete:
-            g.remove_stream(sid)
-        survivors = {
-            sid: state.plan.assignments[sid]
-            for sid in state.admitted
-            if sid not in set(batch.delete)
-        }
-        new_streams = {s.id: s for s in batch.add}
-
+        # routing is the last step that can raise on a bad batch; it runs
+        # before the graph changes, so a failed batch leaves the planner as is
         routes = {
             s.id: candidate_routes(self.net, s.src, s.dst, self.k_routes)
             for s in batch.add
         }
+
+        for sid in batch.delete:
+            g.remove_stream(sid)
+        deleted = set(batch.delete)
+        survivors = {
+            sid: state.plan.assignments[sid]
+            for sid in state.admitted
+            if sid not in deleted
+        }
+        new_streams = {s.id: s for s in batch.add}
         live = [state.admitted[sid] for sid in survivors] + batch.add
         report = expand(g, batch, self.params, self.net, routes, live, self.rng)
         # graph size as offered to the solver, before rejected streams are purged
@@ -268,7 +270,6 @@ class Planner:
             **{sid: new_streams[sid] for sid in new_streams if sid not in rejected},
         }
         state.plan = TrafficPlan(batch.iteration, assignments)
-        state.rejected_history.append(set(rejected))
 
         total_s = time.perf_counter() - t0
         return IterationMetrics(

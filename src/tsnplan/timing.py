@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import Network, Stream
 from .routing import Route
 
@@ -64,27 +66,22 @@ def max_phase(net: Network, stream: Stream, route: Route) -> int:
     return stream.period - link_occupancy(net, stream, route, 0).arrival
 
 
-def _periodic_overlap(
-    sa: int, ea: int, pa: int, sb: int, eb: int, pb: int
-) -> bool:
+def periodic_overlap(sa, ea, pa, sb, eb, pb):
     """Do the periodic repetitions of [sa,ea) mod pa and [sb,eb) mod pb
-    overlap anywhere within their common hypercycle?
+    overlap anywhere within their common hypercycle? Arguments are integers
+    or int64 arrays and broadcast; the result is a boolean array. The
+    arithmetic is int64, so lcm(pa, pb) must stay below 2**63.
 
     Repetition indices range over [0, H/p) with H = lcm(pa, pb); the
     achievable start differences are exactly the multiples of gcd(pa, pb)
     in [-(H - pa), H - pb] shifted by sb - sa.
     """
-    g = math.gcd(pa, pb)
+    g = np.gcd(pa, pb)
     h = pa // g * pb
-    d = sb - sa
-    la = ea - sa
-    lb = eb - sb
-    # need a multiple m*g with -lb < m*g + d < la, within the achievable band
-    lo = max(-lb - d + 1, -(h - pa))
-    hi = min(la - d - 1, h - pb)
-    if lo > hi:
-        return False
-    return lo <= (hi // g) * g  # any multiple of g in [lo, hi]?
+    # need a multiple m*g with sa - eb < m*g < ea - sb, within the achievable band
+    lo = np.maximum(sa - eb + 1, -(h - pa))
+    hi = np.minimum(ea - sb - 1, h - pb)
+    return (lo <= hi) & (lo <= hi // g * g)  # any multiple of g in [lo, hi]?
 
 
 def frames_conflict(
@@ -92,14 +89,16 @@ def frames_conflict(
 ) -> bool:
     """True iff any frame repetitions of the two schedules overlap on a
     shared directed link within their pairwise hypercycle."""
-    by_link: dict[tuple[str, str], list[tuple[int, int]]] = {}
-    for key, s, e in a.entries:
-        by_link.setdefault(key, []).append((s, e))
-    for key, sb, eb in b.entries:
-        for sa, ea in by_link.get(key, ()):
-            if _periodic_overlap(sa, ea, period_a, sb, eb, period_b):
-                return True
-    return False
+    pairs = [
+        (sa, ea, sb, eb)
+        for key_a, sa, ea in a.entries
+        for key_b, sb, eb in b.entries
+        if key_a == key_b
+    ]
+    if not pairs:
+        return False
+    sa, ea, sb, eb = np.array(pairs, dtype=np.int64).T
+    return bool(periodic_overlap(sa, ea, period_a, sb, eb, period_b).any())
 
 
 def brute_force_conflict(

@@ -47,11 +47,23 @@ def test_hypercycle_rejects_bad_input():
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=5))
 def test_hypercycle_is_least_common_multiple(periods):
     h = hypercycle(periods)
-    assert all(h % p == 0 for p in periods)
-    # minimality by brute force over smaller candidates
-    assert not any(
-        all(c % p == 0 for p in periods) for c in range(1, h)
-    )
+    assert h >= 1 and all(h % p == 0 for p in periods)
+    # minimality: the lcm divides h, so if h were larger, h // q would still
+    # be a common multiple for some prime q dividing h
+    for q in prime_factors(h):
+        assert not all((h // q) % p == 0 for p in periods)
+
+
+def prime_factors(n: int) -> set[int]:
+    out, q = set(), 2
+    while q * q <= n:
+        while n % q == 0:
+            out.add(q)
+            n //= q
+        q += 1
+    if n > 1:
+        out.add(n)
+    return out
 
 
 def test_stream_deadline_equals_period():

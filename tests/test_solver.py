@@ -8,7 +8,9 @@ import scipy.sparse as sp
 
 from tsnplan.conflict_graph import Configuration, ConflictGraph
 from tsnplan.expansion import ExpansionParams
-from tsnplan.model import StreamBatch, hypercycle
+from tsnplan.harness import gen_ring, gen_streams, plan_to_dict
+from tsnplan.model import Stream, StreamBatch, hypercycle
+from tsnplan.routing import Unreachable
 from tsnplan.solver import (
     Planner,
     RequiredColorUnsatisfiable,
@@ -294,6 +296,29 @@ def test_iterate_rejects_bad_batch():
     p.iterate(StreamBatch(0, add=[mkstream("s0", period=500)]))
     with pytest.raises(ValueError):
         p.iterate(StreamBatch(1, delete=["ghost"]))
+
+
+def test_failed_batch_leaves_planner_usable():
+    net = gen_ring(6)
+    first = StreamBatch(0, add=gen_streams(net, 12, [500], [500], seed=3))
+    clean = StreamBatch(1, add=[Stream("x", "d0", "d3", 500, 125)], delete=["s0"])
+    bad = StreamBatch(1, add=[Stream("x", "d0", "nowhere", 500, 125)], delete=["s0"])
+
+    def planner_after_first_batch():
+        p = Planner(net, ExpansionParams(cps=6, alpha=5, rng_seed=1))
+        p.iterate(first)
+        assert "s0" in p.state.admitted
+        return p
+
+    p = planner_after_first_batch()
+    admitted, vertices = dict(p.state.admitted), p.graph.vertex_count
+    with pytest.raises(Unreachable):
+        p.iterate(bad)
+    assert p.state.admitted == admitted and p.graph.vertex_count == vertices
+    p.iterate(clean)
+    ref = planner_after_first_batch()
+    ref.iterate(clean)
+    assert plan_to_dict(p.state.plan) == plan_to_dict(ref.state.plan)
 
 
 def test_metrics_fields():
