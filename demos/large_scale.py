@@ -37,6 +37,7 @@ def main():
           f"({args.strategy}, cps={args.cps}):")
     print(f"  rejected    {m.rejected} ({m.rejected / args.streams:.2%})")
     print(f"  graph       {m.vertices} vertices / {m.edges} edges")
+    print(f"  routing     {m.routing_ms / 1000:.1f} s")
     print(f"  expansion   {m.expansion_ms / 1000:.1f} s")
     print(f"  solving     {m.solving_ms / 1000:.1f} s")
     print(f"  wall clock  {time.perf_counter() - t0:.1f} s")

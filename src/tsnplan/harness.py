@@ -43,6 +43,7 @@ METRICS_HEADER = [
     "total_ms",
     "vertices",
     "edges",
+    "routing_ms",
 ]
 
 
@@ -343,6 +344,7 @@ def write_metrics_csv(path, metrics: list[IterationMetrics]) -> None:
                     f"{m.total_ms:.3f}",
                     m.vertices,
                     m.edges,
+                    f"{m.routing_ms:.3f}",
                 ]
             )
 

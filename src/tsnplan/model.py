@@ -64,6 +64,7 @@ class Network:
                 self._out[l.src].append(l)
         for lst in self._out.values():
             lst.sort(key=lambda l: l.dst)
+        self._route_index = None  # routing's integer view, built on first use
 
     def node(self, nid: str) -> Node:
         return self.nodes[nid]

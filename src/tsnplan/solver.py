@@ -19,7 +19,7 @@ import numpy as np
 from .conflict_graph import Configuration, ConflictGraph
 from .expansion import ExpansionParams, expand
 from .model import IterationState, Network, Stream, StreamBatch, hypercycle
-from .routing import candidate_routes
+from .routing import Unreachable, candidate_routes
 from .timing import link_occupancy
 
 _FREE, _EXCLUDED, _SELECTED = 0, 1, 2
@@ -49,6 +49,7 @@ class IterationMetrics:
     total_ms: float
     vertices: int
     edges: int
+    routing_ms: float
 
 
 def gfh_solve(
@@ -180,15 +181,17 @@ def choose_plan(defensive, offensive):
 
 def validate_plan(net: Network, plan: TrafficPlan) -> list[str]:
     """End-to-end oracle: recompute all occupancies and sweep each link over
-    the global hypercycle for double bookings and deadline misses.
+    the hypercycle of the streams crossing it for double bookings and
+    deadline misses.
+
+    Only streams sharing a link can collide on it. Without a deadline miss
+    every interval lies inside its stream's period, so repeating it over its
+    link's hypercycle covers every wrap-around on that link.
 
     Deliberately shares no logic with the pairwise conflict predicate.
     """
     problems: list[str] = []
-    if not plan.assignments:
-        return problems
-    per_link: dict[tuple[str, str], list[tuple[int, int, str]]] = {}
-    h = hypercycle([cfg.stream.period for cfg in plan.assignments.values()])
+    per_link: dict[tuple[str, str], list[tuple[int, int, str, int]]] = {}
     for sid, cfg in plan.assignments.items():
         stream = cfg.stream
         sched = link_occupancy(net, stream, cfg.route, cfg.phase)
@@ -197,10 +200,14 @@ def validate_plan(net: Network, plan: TrafficPlan) -> list[str]:
                 f"deadline miss: {sid} arrives at {sched.arrival} > {stream.deadline}"
             )
         for key, s, e in sched.entries:
-            for k in range(h // stream.period):
-                off = k * stream.period
-                per_link.setdefault(key, []).append((s + off, e + off, sid))
-    for key, intervals in per_link.items():
+            per_link.setdefault(key, []).append((s, e, sid, stream.period))
+    for key, entries in per_link.items():
+        h = hypercycle(period for _, _, _, period in entries)
+        intervals = [
+            (s + off, e + off, sid)
+            for s, e, sid, period in entries
+            for off in range(0, h, period)
+        ]
         intervals.sort()
         for (s1, e1, id1), (s2, e2, id2) in zip(intervals, intervals[1:]):
             if s2 < e1:
@@ -234,12 +241,19 @@ class Planner:
         g = self.graph
         state = self.state
         batch.check(set(state.admitted))
-        # routing is the last step that can raise on a bad batch; it runs
-        # before the graph changes, so a failed batch leaves the planner as is
-        routes = {
-            s.id: candidate_routes(self.net, s.src, s.dst, self.k_routes)
-            for s in batch.add
-        }
+        # routes are computed before the graph changes; a stream without one
+        # is rejected on its own and takes no share of the budget
+        t_route = time.perf_counter()
+        routes = {}
+        for s in batch.add:
+            try:
+                routes[s.id] = candidate_routes(self.net, s.src, s.dst, self.k_routes)
+            except Unreachable:
+                pass
+        routing_s = time.perf_counter() - t_route
+        routable = StreamBatch(
+            batch.iteration, [s for s in batch.add if s.id in routes], batch.delete
+        )
 
         for sid in batch.delete:
             g.remove_stream(sid)
@@ -249,9 +263,9 @@ class Planner:
             for sid in state.admitted
             if sid not in deleted
         }
-        new_streams = {s.id: s for s in batch.add}
-        live = [state.admitted[sid] for sid in survivors] + batch.add
-        report = expand(g, batch, self.params, self.net, routes, live, self.rng)
+        new_streams = {s.id: s for s in routable.add}
+        live = [state.admitted[sid] for sid in survivors] + routable.add
+        report = expand(g, routable, self.params, self.net, routes, live, self.rng)
         # graph size as offered to the solver, before rejected streams are purged
         vertices, edges = g.vertex_count, g.edge_count
 
@@ -277,10 +291,11 @@ class Planner:
             strategy=self.params.strategy,
             scheme=self.params.scheme,
             cps=self.params.cps,
-            rejected=len(rejected),
+            rejected=len(rejected) + len(batch.add) - len(routable.add),
             expansion_ms=report.seconds * 1000.0,
             solving_ms=solving_s * 1000.0,
             total_ms=total_s * 1000.0,
             vertices=vertices,
             edges=edges,
+            routing_ms=routing_s * 1000.0,
         )

@@ -407,7 +407,7 @@ def test_criterion_10_small_instance_solver_oracle():
 def strip_time_columns(path):
     with open(path, newline="") as f:
         return [
-            [c for i, c in enumerate(row) if i not in (5, 6, 7)]
+            [c for i, c in enumerate(row) if i not in (5, 6, 7, 10)]
             for row in csv.reader(f)
         ]
 

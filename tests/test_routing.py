@@ -1,10 +1,14 @@
+import itertools
+from random import Random
+
 import pytest
 
-from tsnplan.harness import gen_ring
+from tsnplan.harness import gen_grid, gen_random, gen_ring, gen_waxman
 from tsnplan.model import BRIDGE, END_DEVICE, Link, Network, Node
 from tsnplan.routing import Route, Unreachable, candidate_routes, shortest_path
 
 from conftest import chain_net, chain_route
+from routing_oracle import oracle_candidate_routes
 
 
 def test_ring_tie_break_is_lexicographic():
@@ -42,6 +46,60 @@ def test_end_devices_are_never_interior():
     links = [l for a, b in pairs for l in (Link(a, b, 1000), Link(b, a, 1000))]
     net = Network(nodes, links)
     assert shortest_path(net, "a", "z1").nodes == ("a", "b0", "b2", "b3", "b1", "z1")
+
+
+def multi_homed_net() -> Network:
+    """The net of test_end_devices_are_never_interior: device z0 hangs off
+    both b0 and b1, a shortcut no route may take."""
+    nodes = [
+        Node("a", END_DEVICE), Node("z0", END_DEVICE), Node("z1", END_DEVICE),
+        Node("b0", BRIDGE), Node("b1", BRIDGE), Node("b2", BRIDGE),
+        Node("b3", BRIDGE),
+    ]
+    pairs = [
+        ("a", "b0"), ("b0", "z0"), ("z0", "b1"), ("b1", "z1"),
+        ("b0", "b2"), ("b2", "b3"), ("b3", "b1"),
+    ]
+    links = [l for a, b in pairs for l in (Link(a, b, 1000), Link(b, a, 1000))]
+    return Network(nodes, links)
+
+
+ORACLE_NETS = {
+    "ring12": lambda: gen_ring(12),  # "b10" < "b2" decides ties
+    "grid3x4": lambda: gen_grid(3, 4),
+    "multi-homed": multi_homed_net,
+    **{f"waxman40-s{s}": (lambda s=s: gen_waxman(40, seed=s)) for s in range(3)},
+    **{f"random30-s{s}": (lambda s=s: gen_random(30, 0.15, s)) for s in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_NETS))
+def test_candidate_routes_match_path_heap_oracle(name):
+    net = ORACLE_NETS[name]()
+    pairs = list(itertools.permutations(net.end_devices(), 2))
+    if len(pairs) > 300:
+        pairs = Random(name).sample(pairs, 300)
+    for src, dst in pairs:
+        for k in (1, 2, 3):
+            got = candidate_routes(net, src, dst, k)
+            want = oracle_candidate_routes(net, src, dst, k)
+            assert [r.links for r in got] == [r.links for r in want], (src, dst, k)
+
+
+def test_unknown_or_disconnected_endpoint_is_unreachable():
+    net = gen_ring(4)
+    for src, dst in (("nowhere", "d1"), ("d0", "nowhere")):
+        with pytest.raises(Unreachable):
+            candidate_routes(net, src, dst, 2)
+        with pytest.raises(Unreachable):
+            shortest_path(net, src, dst)
+    net = Network(
+        [Node("a", END_DEVICE), Node("b", END_DEVICE), Node("b0", BRIDGE)],
+        [Link("a", "b0", 1000), Link("b0", "a", 1000)],
+    )
+    for src, dst in (("a", "b"), ("b", "a")):
+        with pytest.raises(Unreachable):
+            candidate_routes(net, src, dst, 2)
 
 
 def test_candidate_routes_ring_both_arcs():

@@ -1,4 +1,5 @@
 import itertools
+import time
 from random import Random
 from types import SimpleNamespace
 
@@ -9,8 +10,8 @@ import scipy.sparse as sp
 from tsnplan.conflict_graph import Configuration, ConflictGraph
 from tsnplan.expansion import ExpansionParams
 from tsnplan.harness import gen_ring, gen_streams, plan_to_dict
-from tsnplan.model import Stream, StreamBatch, hypercycle
-from tsnplan.routing import Unreachable
+from tsnplan.model import END_DEVICE, Network, Node, Stream, StreamBatch, hypercycle
+from tsnplan.routing import shortest_path
 from tsnplan.solver import (
     Planner,
     RequiredColorUnsatisfiable,
@@ -228,6 +229,31 @@ def test_validate_plan_reports_cross_period_overlap():
     assert any("overlap" in p for p in problems)
 
 
+def test_validate_plan_reports_non_harmonic_overlap():
+    net = shared_link_net()
+    plan = TrafficPlan(0, {
+        "s0": cfg(net, "s0", 0, 0, period=100),
+        "s1": cfg(net, "s1", 1, 53, period=150),  # first collides at tick 208
+    })
+    problems = validate_plan(net, plan)
+    assert len(problems) == 1 and "('b0', 'b1')" in problems[0]
+    assert "[208, 209)" in problems[0]
+
+
+def test_validate_plan_sweeps_each_link_over_its_own_hypercycle():
+    # coprime periods on disjoint routes: the global hypercycle is ~1e9
+    # ticks, each link's is one period
+    net = gen_ring(6)
+    plan = TrafficPlan(0, {})
+    for i, period in zip((0, 2, 4), (997, 1009, 1013)):
+        s = Stream(f"s{i}", f"d{i}", f"d{i + 1}", period, 125)
+        route = shortest_path(net, s.src, s.dst)
+        plan.assignments[s.id] = Configuration.build(net, s, 0, route, 0)
+    t0 = time.perf_counter()
+    assert validate_plan(net, plan) == []
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_validate_plan_reports_deadline_miss():
     net = shared_link_net()
     s = mkstream("late", period=10, size=500)  # arrival 15 > period 10
@@ -301,8 +327,10 @@ def test_iterate_rejects_bad_batch():
 def test_failed_batch_leaves_planner_usable():
     net = gen_ring(6)
     first = StreamBatch(0, add=gen_streams(net, 12, [500], [500], seed=3))
-    clean = StreamBatch(1, add=[Stream("x", "d0", "d3", 500, 125)], delete=["s0"])
-    bad = StreamBatch(1, add=[Stream("x", "d0", "nowhere", 500, 125)], delete=["s0"])
+    y = Stream("y", "d1", "d4", 500, 125)
+    bad = StreamBatch(1, add=[Stream("x", "d0", "nowhere", 500, 125), y],
+                      delete=["s0"])
+    clean = StreamBatch(2, add=[Stream("x", "d0", "d3", 500, 125)], delete=["s1"])
 
     def planner_after_first_batch():
         p = Planner(net, ExpansionParams(cps=6, alpha=5, rng_seed=1))
@@ -310,15 +338,37 @@ def test_failed_batch_leaves_planner_usable():
         assert "s0" in p.state.admitted
         return p
 
+    # the stream without a route is rejected alone; the rest of the batch
+    # proceeds exactly as if it had not been offered
     p = planner_after_first_batch()
-    admitted, vertices = dict(p.state.admitted), p.graph.vertex_count
-    with pytest.raises(Unreachable):
-        p.iterate(bad)
-    assert p.state.admitted == admitted and p.graph.vertex_count == vertices
-    p.iterate(clean)
+    m = p.iterate(bad)
     ref = planner_after_first_batch()
-    ref.iterate(clean)
+    m_ref = ref.iterate(StreamBatch(1, add=[y], delete=["s0"]))
+    assert m.rejected == m_ref.rejected + 1
+    assert "x" not in p.state.admitted and "s0" not in p.state.admitted
+    assert p.state.admitted == ref.state.admitted
     assert plan_to_dict(p.state.plan) == plan_to_dict(ref.state.plan)
+    # and a later clean batch still works
+    p.iterate(clean)
+    ref.iterate(clean)
+    assert "x" in p.state.admitted
+    assert plan_to_dict(p.state.plan) == plan_to_dict(ref.state.plan)
+
+
+def test_unroutable_stream_leaves_its_budget_to_the_others():
+    net = shared_link_net(1)
+    net = Network(
+        list(net.nodes.values()) + [Node("lonely", END_DEVICE)],
+        net.links.values(),
+    )
+    p = Planner(net, ExpansionParams(cps=6, alpha=5, rng_seed=1))
+    m = p.iterate(StreamBatch(0, add=[
+        mkstream("s0", period=500), mkstream("s1", period=500, dst="lonely"),
+    ]))
+    assert m.rejected == 1 and set(p.state.admitted) == {"s0"}
+    assert m.vertices == 6  # cps x one live stream, all of it for s0
+    assert p.graph.colors() == {"s0"}
+    assert m.routing_ms >= 0 and m.total_ms >= m.routing_ms + m.solving_ms
 
 
 def test_metrics_fields():
