@@ -39,8 +39,9 @@ def main():
     for sid, cfg in sorted(planner.state.plan.assignments.items()):
         hops = " -> ".join(cfg.route.nodes)
         print(f"{sid}: phase {cfg.phase:4d}  period {cfg.stream.period:5d}  {hops}")
+        # the schedule is the route's phase-0 occupancy, shifted by the phase
         for (a, b), s, e in cfg.schedule.entries:
-            print(f"     {a} -> {b}: busy [{s}, {e})")
+            print(f"     {a} -> {b}: busy [{s + cfg.phase}, {e + cfg.phase})")
 
     problems = validate_plan(net, planner.state.plan)
     print(f"\nindependent validation: {'OK' if not problems else problems}")

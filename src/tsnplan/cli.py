@@ -1,6 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 configuration error, 3 plan-validation failure.
+Exit codes: 0 success, 2 configuration error (including an unreadable
+plan or topology, or a plan too large for the oracle), 3 plan-validation
+failure.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .harness import (
 )
 from .model import Network
 from .solver import validate_plan
+from .timing import OracleBoundExceeded
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,7 +92,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    net = Network.load(args.topology)
+    try:
+        net = Network.load(args.topology)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise ConfigError(f"cannot read topology {args.topology}: {e}") from None
     plan = load_plan(args.plan, net)
     problems = validate_plan(net, plan)
     if problems:
@@ -145,6 +151,9 @@ def main(argv=None) -> int:
     except PlanValidationError as e:
         print(f"plan validation failed: {e}", file=sys.stderr)
         return EXIT_INVALID_PLAN
+    except OracleBoundExceeded as e:
+        print(f"plan too large to validate: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

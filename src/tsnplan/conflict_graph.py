@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .model import Network, Stream
 from .routing import Route
-from .timing import OccupancySchedule, link_occupancy, max_phase, periodic_overlap
+from .timing import OccupancySchedule, link_occupancy, periodic_overlap
 
 PAGERANK_DAMPING = 0.85
 PAGERANK_ITERATIONS = 4
@@ -46,6 +46,9 @@ class NoVertices(Exception):
 
 @dataclass(frozen=True)
 class Configuration:
+    """`schedule` is the phase-0 occupancy of (stream, route), shared by all
+    its configurations; this one's intervals are shifted by `phase`."""
+
     stream: Stream
     route_index: int
     route: Route
@@ -56,10 +59,11 @@ class Configuration:
     def build(
         cls, net: Network, stream: Stream, route_index: int, route: Route, phase: int
     ) -> "Configuration":
-        mp = max_phase(net, stream, route)
+        base = link_occupancy(net, stream, route, 0)
+        mp = stream.period - base.arrival
         if phase < 0 or phase > mp:
             raise ValueError(f"phase {phase} outside [0, {mp}]")
-        return cls(stream, route_index, route, phase, link_occupancy(net, stream, route, phase))
+        return cls(stream, route_index, route, phase, base)
 
     @property
     def key(self) -> tuple[str, int, int]:
@@ -99,8 +103,6 @@ class _Bucket:
         """Vids of stored intervals of other colors whose periodic repetitions
         overlap [start, end) repeated with `period` (hypercycle-bounded)."""
         n = self.n
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
         hit = periodic_overlap(
             start, end, period, self.start[:n], self.end[:n], self.period[:n]
         )
@@ -185,26 +187,26 @@ class ConflictGraph:
             raise DuplicateConfiguration(f"{cfg.key} already present")
         sid = cfg.stream.id
         code = self._color_code.setdefault(sid, len(self._color_code))
-        period = cfg.stream.period
-
+        period, phase = cfg.stream.period, cfg.phase
+        vid = len(self._configs)
         hits = []
         for link_key, start, end in cfg.schedule.entries:
+            start, end = start + phase, end + phase
             bucket = self._buckets.get(link_key)
-            if bucket is not None:
+            if bucket is None:
+                bucket = self._buckets[link_key] = _Bucket()
+            else:
                 hits.append(bucket.query(start, end, period, code))
+            # the query skips this color: no self-hit on a later link
+            bucket.append(vid, start, end, period, code)
         if hits:
             nbrs = np.unique(np.concatenate(hits))
         else:
             nbrs = np.empty(0, dtype=np.int64)
-
-        vid = len(self._configs)
         self._configs.append(cfg)
         self._pending.append(nbrs)
         self._color_vids.setdefault(sid, []).append(vid)
         self._key2vid[cfg.key] = vid
-        for link_key, start, end in cfg.schedule.entries:
-            bucket = self._buckets.setdefault(link_key, _Bucket())
-            bucket.append(vid, start, end, period, code)
         self._csr = None
         return vid
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
+from . import timing
 from .conflict_graph import Configuration, ConflictGraph, NoVertices
 from .model import Network, Stream, StreamBatch, traffic_volume
 from .routing import Route
-from .timing import max_phase, transmission_time
 
 SCHEMES = ("deterministic", "randomized")
 STRATEGIES = ("homogeneous", "traffic-volume", "avg-degree", "page-rank")
@@ -76,16 +76,14 @@ def delta_75(new_streams: list[Stream], net: Network) -> int:
         out = net.out_links(s.src)
         if not out:
             raise ValueError(f"stream source {s.src!r} has no egress link")
-        times.append(transmission_time(s.size, out[0].rate))
+        times.append(timing.transmission_time(s.size, out[0].rate))
     times.sort()
     rank = math.ceil(0.75 * len(times))
     return times[rank - 1]
 
 
 def deterministic_enumeration(
-    net: Network,
-    stream: Stream,
-    routes: list[Route],
+    max_phases: list[int],
     budget: int,
     delta: int,
     exclude: set[tuple[int, int]] | None = None,
@@ -96,14 +94,13 @@ def deterministic_enumeration(
     if delta < 1:
         raise ValueError("delta must be >= 1")
     exclude = exclude or set()
-    mps = [max_phase(net, stream, r) for r in routes]
     out: list[tuple[int, int]] = []
     level = 0
     while len(out) < budget:
         phi = level * delta
-        if all(phi > mp for mp in mps):
+        if all(phi > mp for mp in max_phases):
             break
-        for ri, mp in enumerate(mps):
+        for ri, mp in enumerate(max_phases):
             if phi > mp or (ri, phi) in exclude:
                 continue
             out.append((ri, phi))
@@ -114,9 +111,7 @@ def deterministic_enumeration(
 
 
 def randomized_enumeration(
-    net: Network,
-    stream: Stream,
-    routes: list[Route],
+    max_phases: list[int],
     budget: int,
     rng: Random,
     exclude: set[tuple[int, int]] | None = None,
@@ -126,10 +121,9 @@ def randomized_enumeration(
     pool is smaller than its share hands the shortfall to the other routes
     in candidate order."""
     exclude = exclude or set()
-    m = len(routes)
+    m = len(max_phases)
     pools: list[list[int]] = []
-    for ri, r in enumerate(routes):
-        mp = max_phase(net, stream, r)
+    for ri, mp in enumerate(max_phases):
         if mp < 0:
             pools.append([])
         else:
@@ -272,23 +266,24 @@ def expand(
     if params.scheme == "deterministic":
         delta = max(1, delta_75(new_streams, net))
     placed: dict[str, set[tuple[int, int]]] = {s.id: set() for s in new_streams}
+    # one phase-0 schedule per candidate route, shared by its configurations
+    base = {
+        s.id: [timing.link_occupancy(net, s, r, 0) for r in routes[s.id]]
+        for s in new_streams
+    }
 
     def place(stream: Stream, budget: int) -> None:
         budget = min(budget, vbar - g.vertex_count)
         if budget <= 0:
             return
-        rts = routes[stream.id]
+        rts, scheds = routes[stream.id], base[stream.id]
+        mps = [stream.period - sched.arrival for sched in scheds]
         if params.scheme == "deterministic":
-            combos = deterministic_enumeration(
-                net, stream, rts, budget, delta, placed[stream.id]
-            )
+            combos = deterministic_enumeration(mps, budget, delta, placed[stream.id])
         else:
-            combos = randomized_enumeration(
-                net, stream, rts, budget, rng, placed[stream.id]
-            )
+            combos = randomized_enumeration(mps, budget, rng, placed[stream.id])
         for ri, phi in combos:
-            cfg = Configuration.build(net, stream, ri, rts[ri], phi)
-            g.add_configuration(cfg)
+            g.add_configuration(Configuration(stream, ri, rts[ri], phi, scheds[ri]))
             placed[stream.id].add((ri, phi))
         report.surplus[stream.id] = report.surplus.get(stream.id, 0) + budget - len(combos)
 

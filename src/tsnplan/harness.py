@@ -376,19 +376,30 @@ def write_outputs(
 
 
 def load_plan(path, net: Network) -> TrafficPlan:
-    """Rebuild a TrafficPlan from plan.json against a topology."""
+    """Rebuild a TrafficPlan from plan.json against a topology. Phases are
+    not checked against the deadline, so that validate_plan can report a
+    late stream. Raises ConfigError for an unreadable or malformed plan."""
     from .conflict_graph import Configuration
     from .routing import Route
+    from .timing import link_occupancy
 
-    with open(path) as f:
-        d = json.load(f)
-    assignments = {}
-    for sid, spec in d["streams"].items():
-        nodes = spec["nodes"]
-        links = tuple(net.link(a, b) for a, b in zip(nodes, nodes[1:]))
-        route = Route(links)
-        stream = Stream(sid, nodes[0], nodes[-1], spec["period"], spec["size"])
-        assignments[sid] = Configuration.build(
-            net, stream, spec.get("route_index", 0), route, spec["phase"]
-        )
-    return TrafficPlan(d.get("iteration", 0), assignments)
+    try:
+        with open(path) as f:
+            d = json.load(f)
+        assignments = {}
+        for sid, spec in d["streams"].items():
+            ints = [spec[k] for k in ("period", "size", "phase")]
+            if any(type(v) is not int for v in ints) or spec["phase"] < 0:
+                raise ValueError(f"{sid}: period, size, phase must be ints, phase >= 0")
+            nodes = spec["nodes"]
+            route = Route(tuple(net.link(a, b) for a, b in zip(nodes, nodes[1:])))
+            stream = Stream(sid, nodes[0], nodes[-1], spec["period"], spec["size"])
+            assignments[sid] = Configuration(
+                stream, spec.get("route_index", 0), route, spec["phase"],
+                link_occupancy(net, stream, route, 0),
+            )
+        return TrafficPlan(d.get("iteration", 0), assignments)
+    except KeyError as e:
+        raise ConfigError(f"cannot read plan {path}: no field or link {e}") from None
+    except (OSError, ValueError, TypeError, IndexError, AttributeError) as e:
+        raise ConfigError(f"cannot read plan {path}: {e}") from None

@@ -20,7 +20,7 @@ from .conflict_graph import Configuration, ConflictGraph
 from .expansion import ExpansionParams, expand
 from .model import IterationState, Network, Stream, StreamBatch, hypercycle
 from .routing import Unreachable, candidate_routes
-from .timing import link_occupancy
+from .timing import ORACLE_BOUND, OracleBoundExceeded, link_occupancy
 
 _FREE, _EXCLUDED, _SELECTED = 0, 1, 2
 
@@ -188,6 +188,9 @@ def validate_plan(net: Network, plan: TrafficPlan) -> list[str]:
     every interval lies inside its stream's period, so repeating it over its
     link's hypercycle covers every wrap-around on that link.
 
+    Raises OracleBoundExceeded, before building a link's intervals, when
+    they would number more than ORACLE_BOUND.
+
     Deliberately shares no logic with the pairwise conflict predicate.
     """
     problems: list[str] = []
@@ -203,6 +206,12 @@ def validate_plan(net: Network, plan: TrafficPlan) -> list[str]:
             per_link.setdefault(key, []).append((s, e, sid, stream.period))
     for key, entries in per_link.items():
         h = hypercycle(period for _, _, _, period in entries)
+        count = sum(h // period for _, _, _, period in entries)
+        if count > ORACLE_BOUND:
+            raise OracleBoundExceeded(
+                f"link {key}: {count} intervals over hypercycle {h} exceed "
+                f"oracle bound {ORACLE_BOUND}"
+            )
         intervals = [
             (s + off, e + off, sid)
             for s, e, sid, period in entries

@@ -11,7 +11,12 @@ from tsnplan.conflict_graph import (
     DuplicateConfiguration,
     NoVertices,
 )
-from tsnplan.timing import brute_force_conflict, frames_conflict, max_phase
+from tsnplan.timing import (
+    brute_force_conflict,
+    frames_conflict,
+    link_occupancy,
+    max_phase,
+)
 
 from conftest import mkstream, shared_link_net, through_route
 
@@ -23,6 +28,11 @@ from conftest import mkstream, shared_link_net, through_route
 def cfg(net, sid, i, phi, period=100, size=500):
     s = mkstream(sid, period=period, size=size, src=f"a{i}", dst=f"z{i}")
     return Configuration.build(net, s, 0, through_route(net, i), phi)
+
+
+def occupancy(net, c: Configuration):
+    """The configuration's own intervals, recomputed at its phase."""
+    return link_occupancy(net, c.stream, c.route, c.phase)
 
 
 def fresh_copy(g: ConflictGraph) -> ConflictGraph:
@@ -63,7 +73,8 @@ def test_triangle(shared_net):
     configs = [cfg(shared_net, f"s{i}", i, i) for i in range(3)]  # phases 0,1,2
     for a, b in itertools.combinations(configs, 2):
         assert brute_force_conflict(
-            a.schedule, a.stream.period, b.schedule, b.stream.period
+            occupancy(shared_net, a), a.stream.period,
+            occupancy(shared_net, b), b.stream.period,
         )
     vids = [g.add_configuration(c) for c in configs]
     assert g.edge_count == 3
@@ -264,7 +275,7 @@ def test_edges_match_pairwise_predicate_and_rebuild(scenario):
     for u, v in itertools.combinations(vids, 2):
         cu, cv = g.config(u), g.config(v)
         expected = cu.stream.id != cv.stream.id and frames_conflict(
-            cu.schedule, cu.stream.period, cv.schedule, cv.stream.period
+            occupancy(net, cu), cu.stream.period, occupancy(net, cv), cv.stream.period
         )
         assert g.has_edge(u, v) == expected
     assert sum(g.degree(v) for v in vids) == 2 * g.edge_count

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsnplan import conflict_graph, timing
 from tsnplan.conflict_graph import ConflictGraph
 from tsnplan.expansion import (
     ExpansionParams,
@@ -100,15 +101,19 @@ def lopsided_setup():
     return net, routes
 
 
+def max_phases(net, stream, routes):
+    return [max_phase(net, stream, r) for r in routes]
+
+
 def test_deterministic_ladder_order(two_route_setup):
     net, stream, routes = two_route_setup
-    out = deterministic_enumeration(net, stream, routes, budget=6, delta=4)
+    out = deterministic_enumeration(max_phases(net, stream, routes), budget=6, delta=4)
     assert out == [(0, 0), (1, 0), (0, 4), (1, 4), (0, 8), (1, 8)]
 
 
 def test_deterministic_budget_one(two_route_setup):
     net, stream, routes = two_route_setup
-    assert deterministic_enumeration(net, stream, routes, 1, 4) == [(0, 0)]
+    assert deterministic_enumeration(max_phases(net, stream, routes), 1, 4) == [(0, 0)]
 
 
 def test_deterministic_skips_exhausted_route(lopsided_setup):
@@ -116,14 +121,15 @@ def test_deterministic_skips_exhausted_route(lopsided_setup):
     stream = mkstream("s", period=44, size=500, src="d0", dst="d1")
     assert max_phase(net, stream, routes[0]) == 21
     assert max_phase(net, stream, routes[1]) == 3
-    out = deterministic_enumeration(net, stream, routes, budget=6, delta=4)
+    out = deterministic_enumeration(max_phases(net, stream, routes), budget=6, delta=4)
     assert out == [(0, 0), (1, 0), (0, 4), (0, 8), (0, 12), (0, 16)]
 
 
 def test_deterministic_stops_when_ladders_exhausted(lopsided_setup):
     net, routes = lopsided_setup
     stream = mkstream("s", period=44, size=500, src="d0", dst="d1")
-    out = deterministic_enumeration(net, stream, routes, budget=100, delta=4)
+    mps = max_phases(net, stream, routes)
+    out = deterministic_enumeration(mps, budget=100, delta=4)
     assert len(out) == 7  # phases 0..20 step 4 on route 0, phase 0 on route 1
     assert len(set(out)) == 7
 
@@ -131,18 +137,18 @@ def test_deterministic_stops_when_ladders_exhausted(lopsided_setup):
 def test_deterministic_respects_exclusions(two_route_setup):
     net, stream, routes = two_route_setup
     out = deterministic_enumeration(
-        net, stream, routes, budget=3, delta=4, exclude={(0, 0), (1, 4)}
+        max_phases(net, stream, routes), budget=3, delta=4, exclude={(0, 0), (1, 4)}
     )
     assert out == [(1, 0), (0, 4), (0, 8)]
 
 
 def test_randomized_even_split(two_route_setup):
     net, stream, routes = two_route_setup
-    out = randomized_enumeration(net, stream, routes, 6, Random(1))
+    out = randomized_enumeration(max_phases(net, stream, routes), 6, Random(1))
     per_route = {0: [], 1: []}
     for ri, phi in out:
         per_route[ri].append(phi)
-    mps = [max_phase(net, stream, r) for r in routes]
+    mps = max_phases(net, stream, routes)
     for ri, phis in per_route.items():
         assert len(phis) == 3 and len(set(phis)) == 3
         assert all(0 <= p <= mps[ri] for p in phis)
@@ -150,7 +156,7 @@ def test_randomized_even_split(two_route_setup):
 
 def test_randomized_remainder_goes_to_first_route(two_route_setup):
     net, stream, routes = two_route_setup
-    out = randomized_enumeration(net, stream, routes, 7, Random(1))
+    out = randomized_enumeration(max_phases(net, stream, routes), 7, Random(1))
     counts = [sum(1 for ri, _ in out if ri == i) for i in range(2)]
     assert counts == [4, 3]
 
@@ -159,7 +165,7 @@ def test_randomized_shortfall_reassigned(lopsided_setup):
     net, routes = lopsided_setup
     stream = mkstream("s", period=41, size=500, src="d0", dst="d1")
     assert max_phase(net, stream, routes[1]) == 0  # pool of size 1
-    out = randomized_enumeration(net, stream, routes, 6, Random(3))
+    out = randomized_enumeration(max_phases(net, stream, routes), 6, Random(3))
     counts = [sum(1 for ri, _ in out if ri == i) for i in range(2)]
     assert counts == [5, 1] and len(set(out)) == 6
 
@@ -167,7 +173,8 @@ def test_randomized_shortfall_reassigned(lopsided_setup):
 def test_randomized_respects_exclusions(two_route_setup):
     net, stream, routes = two_route_setup
     exclude = {(0, p) for p in range(0, 460)} | {(1, p) for p in range(0, 460)}
-    out = randomized_enumeration(net, stream, routes, 50, Random(5), exclude)
+    mps = max_phases(net, stream, routes)
+    out = randomized_enumeration(mps, 50, Random(5), exclude)
     assert not (set(out) & exclude)
     assert len(set(out)) == len(out)
 
@@ -319,6 +326,32 @@ def test_expand_never_touches_old_streams():
            Random(7))
     assert set(g.vids_of("old")) == before
     assert len(g.vids_of("new")) == 5
+
+
+@pytest.mark.parametrize("strategy", ["homogeneous", "page-rank"])
+@pytest.mark.parametrize("scheme", ["deterministic", "randomized"])
+def test_expand_computes_occupancy_once_per_candidate_route(monkeypatch, strategy,
+                                                            scheme):
+    real = timing.link_occupancy
+    calls = []
+
+    def counted(net, stream, route, phase):
+        calls.append((stream.id, route.nodes, phase))
+        return real(net, stream, route, phase)
+
+    for module in (timing, conflict_graph):
+        monkeypatch.setattr(module, "link_occupancy", counted)
+    streams = [ring_stream("s0"), ring_stream("s1", src="d1", dst="d3"),
+               ring_stream("s2", src="d0", dst="d1")]
+    params = ExpansionParams(cps=10, alpha=3, scheme=scheme, strategy=strategy)
+    g, _ = expand_on_ring(streams, params)
+    net = gen_ring(4)
+    assert sorted(calls) == sorted(
+        (s.id, r.nodes, 0)
+        for s in streams
+        for r in candidate_routes(net, s.src, s.dst, 2)
+    )
+    assert g.vertex_count == 30
 
 
 @settings(max_examples=60, deadline=None)

@@ -267,6 +267,57 @@ def test_cli_validate_detects_corrupt_plan(tmp_path, capsys):
     assert "overlap" in capsys.readouterr().err
 
 
+def run_and_load_plan(tmp_path, name):
+    out = tmp_path / name
+    assert main(["run", "--config", write_cfg(tmp_path), "--out", str(out)]) == 0
+    return out, json.loads((out / "plan.json").read_text())
+
+
+def test_cli_validate_reports_a_late_stream(tmp_path, capsys):
+    out, doc = run_and_load_plan(tmp_path, "late")
+    sid = sorted(doc["streams"])[0]
+    spec = doc["streams"][sid]
+    spec["phase"] = spec["period"] - 1  # the frame now arrives after its deadline
+    (out / "plan.json").write_text(json.dumps(doc))
+    rc = main(["validate", str(out / "plan.json"), str(out / "topology.json")])
+    assert rc == 3
+    assert f"deadline miss: {sid}" in capsys.readouterr().err
+
+
+def test_cli_validate_rejects_a_route_over_a_missing_link(tmp_path, capsys):
+    out, doc = run_and_load_plan(tmp_path, "nolink")
+    spec = doc["streams"][sorted(doc["streams"])[0]]
+    spec["nodes"] = [spec["nodes"][0], "nowhere", spec["nodes"][-1]]
+    (out / "plan.json").write_text(json.dumps(doc))
+    rc = main(["validate", str(out / "plan.json"), str(out / "topology.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "nowhere" in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_validate_reports_missing_files(tmp_path, capsys):
+    out, _ = run_and_load_plan(tmp_path, "missing")
+    for plan, topology in ((tmp_path / "absent.json", out / "topology.json"),
+                           (out / "plan.json", tmp_path / "absent.json")):
+        assert main(["validate", str(plan), str(topology)]) == 2
+        err = capsys.readouterr().err
+        assert "absent.json" in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_validate_refuses_a_plan_too_large_for_the_oracle(tmp_path, capsys):
+    out, doc = run_and_load_plan(tmp_path, "bound")
+    spec = doc["streams"][sorted(doc["streams"])[0]]
+    # coprime periods on one route: about 3.04e6 intervals on each of its links
+    doc["streams"] = {
+        f"x{period}": {**spec, "phase": 0, "period": period, "size": 125}
+        for period in (997, 1009, 1013)
+    }
+    (out / "plan.json").write_text(json.dumps(doc))
+    rc = main(["validate", str(out / "plan.json"), str(out / "topology.json")])
+    assert rc == 2
+    assert "hypercycle 1019050649" in capsys.readouterr().err
+
+
 def test_cli_run_aborts_on_invalid_plan(tmp_path, monkeypatch):
     import tsnplan.harness as harness
 

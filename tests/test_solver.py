@@ -22,7 +22,7 @@ from tsnplan.solver import (
     offensive_plan,
     validate_plan,
 )
-from tsnplan.timing import link_occupancy
+from tsnplan.timing import OracleBoundExceeded, link_occupancy
 
 from conftest import mkstream, shared_link_net, through_route
 
@@ -251,6 +251,21 @@ def test_validate_plan_sweeps_each_link_over_its_own_hypercycle():
         plan.assignments[s.id] = Configuration.build(net, s, 0, route, 0)
     t0 = time.perf_counter()
     assert validate_plan(net, plan) == []
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_validate_plan_refuses_a_link_past_the_oracle_bound():
+    # coprime periods on one shared link: its hypercycle is 1,019,050,649
+    # ticks, about 3.04e6 intervals
+    net = shared_link_net()
+    plan = TrafficPlan(0, {
+        f"s{i}": cfg(net, f"s{i}", i, 0, period=period, size=125)
+        for i, period in enumerate((997, 1009, 1013))
+    })
+    t0 = time.perf_counter()
+    bound = r"link \('b0', 'b1'\).*hypercycle 1019050649"
+    with pytest.raises(OracleBoundExceeded, match=bound):
+        validate_plan(net, plan)
     assert time.perf_counter() - t0 < 1.0
 
 
