@@ -12,6 +12,7 @@ import json
 import os
 import sys
 
+from .expansion import SCHEMES, STRATEGIES
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -117,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--strategy", choices=["homogeneous", "traffic-volume", "avg-degree", "page-rank"])
-        p.add_argument("--scheme", choices=["deterministic", "randomized"])
+        p.add_argument("--strategy", choices=STRATEGIES)
+        p.add_argument("--scheme", choices=SCHEMES)
         p.add_argument("--cps", type=int)
         p.add_argument("--alpha", type=int)
 

@@ -21,7 +21,6 @@ matrix, the degrees and every metric are derived from the pair.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -281,11 +280,7 @@ class ConflictGraph:
             raise NoVertices(f"stream {stream_id!r} has no vertices")
         return Fraction(int(self._degrees()[vids].sum()), len(vids))
 
-    def page_rank(
-        self,
-        iterations: int = PAGERANK_ITERATIONS,
-        damping: float = PAGERANK_DAMPING,
-    ) -> dict[int, float]:
+    def page_rank(self) -> dict[int, float]:
         """Power iteration treating each edge as two directed arcs; degree-0
         vertices spread their mass uniformly. Scores are renormalized every
         iteration and sum to 1."""
@@ -299,10 +294,10 @@ class ConflictGraph:
         dangling = alive & (deg == 0)
         safe = np.where(deg > 0, deg, 1.0)
         p = np.where(alive, 1.0 / n, 0.0)
-        for _ in range(iterations):
+        for _ in range(PAGERANK_ITERATIONS):
             spread = m @ (p / safe)
             mass = p[dangling].sum()
-            p_new = (1.0 - damping) / n + damping * (spread + mass / n)
+            p_new = (1.0 - PAGERANK_DAMPING) / n + PAGERANK_DAMPING * (spread + mass / n)
             p_new = np.where(alive, p_new, 0.0)
             p = p_new / p_new.sum()
         return dict(zip(live.tolist(), p[live].tolist()))
@@ -312,17 +307,3 @@ class ConflictGraph:
         if not vids:
             raise NoVertices(f"stream {stream_id!r} has no vertices")
         return sum(pr[v] for v in vids)
-
-    # -- debugging ---------------------------------------------------------
-
-    def to_json(self) -> str:
-        verts = [
-            {
-                "vid": v,
-                "stream": self._configs[v].stream.id,
-                "route_index": self._configs[v].route_index,
-                "phase": self._configs[v].phase,
-            }
-            for v in self.vids()
-        ]
-        return json.dumps({"vertices": verts, "edges": self.edges()}, indent=1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -50,7 +49,6 @@ class ExpansionParams:
 @dataclass
 class ExpansionReport:
     vertices_added: int = 0
-    seconds: float = 0.0
     budgets: dict[str, int] = field(default_factory=dict)
     surplus: dict[str, int] = field(default_factory=dict)  # budget a stream could not use
 
@@ -119,31 +117,43 @@ def randomized_enumeration(
     """Equal share of the budget per candidate route, phases drawn uniformly
     without replacement from [0, max phase]. A route whose feasible phase
     pool is smaller than its share hands the shortfall to the other routes
-    in candidate order."""
+    in candidate order.
+
+    A route's pool is never built: the draw picks ranks among its unused
+    phases, which `random.sample` maps to the same elements it would pick
+    from the pool as a list."""
     exclude = exclude or set()
     m = len(max_phases)
-    pools: list[list[int]] = []
-    for ri, mp in enumerate(max_phases):
-        if mp < 0:
-            pools.append([])
-        else:
-            used = {phi for (i, phi) in exclude if i == ri}
-            pools.append([phi for phi in range(mp + 1) if phi not in used])
+    used = [
+        sorted(phi for (i, phi) in exclude if i == ri and 0 <= phi <= mp)
+        for ri, mp in enumerate(max_phases)
+    ]
+    pool_sizes = [max(0, mp + 1 - len(u)) for mp, u in zip(max_phases, used)]
     shares = [budget // m + (1 if i < budget % m else 0) for i in range(m)]
-    alloc = [min(sh, len(pool)) for sh, pool in zip(shares, pools)]
+    alloc = [min(sh, size) for sh, size in zip(shares, pool_sizes)]
     leftover = budget - sum(alloc)
     for i in range(m):
         if leftover == 0:
             break
-        extra = min(leftover, len(pools[i]) - alloc[i])
+        extra = min(leftover, pool_sizes[i] - alloc[i])
         alloc[i] += extra
         leftover -= extra
     out: list[tuple[int, int]] = []
     for ri in range(m):
         if alloc[ri]:
-            for phi in rng.sample(pools[ri], alloc[ri]):
-                out.append((ri, phi))
+            for rank in rng.sample(range(pool_sizes[ri]), alloc[ri]):
+                out.append((ri, _unused_phase(rank, used[ri])))
     return out
+
+
+def _unused_phase(rank: int, used: list[int]) -> int:
+    """The phase of the given rank among those not in sorted `used`."""
+    phi = rank
+    for u in used:
+        if u > phi:
+            break
+        phi += 1
+    return phi
 
 
 def _largest_remainder(raws, total: int, order: list[str]) -> dict[str, int]:
@@ -253,13 +263,11 @@ def expand(
     new configurations. The total vertex count never exceeds the global
     budget cps * |live streams|.
     """
-    t0 = time.perf_counter()
     report = ExpansionReport()
     vbar = global_budget(params.cps, len(live_streams))
     v0 = g.vertex_count
     new_streams = batch.add
     if not new_streams:
-        report.seconds = time.perf_counter() - t0
         return report
 
     delta = None
@@ -310,5 +318,4 @@ def expand(
 
     report.budgets = budgets
     report.vertices_added = g.vertex_count - v0
-    report.seconds = time.perf_counter() - t0
     return report

@@ -2,8 +2,9 @@
 iteration driver with metrics collection.
 
 All generators attach one end device per bridge and emit every physical
-cable as a pair of directed links. Defaults match a 1 Gbit/s network with
-1 tick propagation delay per link and 4 ticks of bridge processing delay.
+cable as a pair of directed links. Generated networks are 1 Gbit/s with
+1 tick propagation delay per link and 4 ticks of bridge processing delay;
+other link values load through `kind: file` topologies.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from random import Random
 
 from .expansion import ExpansionParams
@@ -32,19 +33,7 @@ DEFAULT_RATE = 1000  # bits per tick = 1 Gbit/s
 DEFAULT_PROPAGATION = 1
 DEFAULT_PROCESSING = 4
 
-METRICS_HEADER = [
-    "iteration",
-    "strategy",
-    "scheme",
-    "cps",
-    "rejected",
-    "expansion_ms",
-    "solving_ms",
-    "total_ms",
-    "vertices",
-    "edges",
-    "routing_ms",
-]
+METRICS_HEADER = [f.name for f in fields(IterationMetrics)]
 
 
 class ConfigError(Exception):
@@ -58,26 +47,17 @@ class PlanValidationError(Exception):
         self.problems = problems
 
 
-@dataclass
-class LinkParams:
-    rate: int = DEFAULT_RATE
-    propagation_delay: int = DEFAULT_PROPAGATION
-    processing_delay: int = DEFAULT_PROCESSING
-
-
-def _assemble(
-    bridge_edges: list[tuple[int, int]], n: int, lp: LinkParams
-) -> Network:
+def _assemble(bridge_edges: list[tuple[int, int]], n: int) -> Network:
     nodes = []
     links = []
     for i in range(n):
-        nodes.append(Node(f"b{i}", BRIDGE, lp.processing_delay))
+        nodes.append(Node(f"b{i}", BRIDGE, DEFAULT_PROCESSING))
         nodes.append(Node(f"d{i}", END_DEVICE))
         for a, b in ((f"b{i}", f"d{i}"), (f"d{i}", f"b{i}")):
-            links.append(Link(a, b, lp.rate, lp.propagation_delay))
+            links.append(Link(a, b, DEFAULT_RATE, DEFAULT_PROPAGATION))
     for u, v in bridge_edges:
         for a, b in ((f"b{u}", f"b{v}"), (f"b{v}", f"b{u}")):
-            links.append(Link(a, b, lp.rate, lp.propagation_delay))
+            links.append(Link(a, b, DEFAULT_RATE, DEFAULT_PROPAGATION))
     return Network(nodes, links)
 
 
@@ -99,29 +79,25 @@ def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
 MAX_RESAMPLES = 1000
 
 
-def gen_random(n: int, p: float, seed: int, lp: LinkParams | None = None) -> Network:
+def gen_random(n: int, p: float, seed: int) -> Network:
     """Erdos-Renyi bridge graph, resampled until connected."""
     if n < 2 or not 0 < p <= 1:
         raise ValueError("need n >= 2 and 0 < p <= 1")
-    lp = lp or LinkParams()
     for attempt in range(MAX_RESAMPLES):
         rng = Random(seed * 1_000_003 + attempt)
         edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
         ]
         if _connected(n, edges):
-            return _assemble(edges, n, lp)
+            return _assemble(edges, n)
     raise ValueError(f"could not draw a connected graph (n={n}, p={p})")
 
 
-def gen_waxman(
-    n: int, a: float = 0.4, b: float = 0.6, seed: int = 0, lp: LinkParams | None = None
-) -> Network:
+def gen_waxman(n: int, a: float = 0.4, b: float = 0.6, seed: int = 0) -> Network:
     """Waxman graph: points in the unit square, edge probability decaying
     with distance, resampled until connected."""
     if n < 2 or not 0 < a <= 1 or not 0 < b <= 1:
         raise ValueError("need n >= 2 and a, b in (0, 1]")
-    lp = lp or LinkParams()
     for attempt in range(MAX_RESAMPLES):
         rng = Random(seed * 1_000_003 + attempt)
         pts = [(rng.random(), rng.random()) for _ in range(n)]
@@ -135,18 +111,18 @@ def gen_waxman(
                 if rng.random() < prob:
                     edges.append((u, v))
         if _connected(n, edges):
-            return _assemble(edges, n, lp)
+            return _assemble(edges, n)
     raise ValueError(f"could not draw a connected graph (n={n}, a={a}, b={b})")
 
 
-def gen_ring(n: int, lp: LinkParams | None = None) -> Network:
+def gen_ring(n: int) -> Network:
     if n < 3:
         raise ValueError("ring needs n >= 3")
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return _assemble(edges, n, lp or LinkParams())
+    return _assemble(edges, n)
 
 
-def gen_grid(rows: int, cols: int, lp: LinkParams | None = None) -> Network:
+def gen_grid(rows: int, cols: int) -> Network:
     if rows < 2 or cols < 2:
         raise ValueError("grid needs rows, cols >= 2")
     edges = []
@@ -157,7 +133,7 @@ def gen_grid(rows: int, cols: int, lp: LinkParams | None = None) -> Network:
                 edges.append((i, i + 1))
             if r + 1 < rows:
                 edges.append((i, i + cols))
-    return _assemble(edges, rows * cols, lp or LinkParams())
+    return _assemble(edges, rows * cols)
 
 
 def gen_streams(
@@ -166,7 +142,6 @@ def gen_streams(
     size_set: list[int],
     period_set: list[int],
     seed: int,
-    id_prefix: str = "s",
     start_index: int = 0,
 ) -> list[Stream]:
     """Uniform random device pairs with sizes and periods from fixed sets."""
@@ -181,7 +156,7 @@ def gen_streams(
         src, dst = rng.sample(devices, 2)
         out.append(
             Stream(
-                id=f"{id_prefix}{start_index + i}",
+                id=f"s{start_index + i}",
                 src=src,
                 dst=dst,
                 period=rng.choice(period_set),
@@ -205,9 +180,6 @@ class ExperimentConfig:
     scheme: str = "randomized"
     strategy: str = "homogeneous"
     k_routes: int = 2
-    link_rate: int = DEFAULT_RATE
-    propagation_delay: int = DEFAULT_PROPAGATION
-    processing_delay: int = DEFAULT_PROCESSING
     seed: int = 0
     out_dir: str | None = None
 
@@ -238,23 +210,19 @@ class ExperimentConfig:
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
-    def link_params(self) -> LinkParams:
-        return LinkParams(self.link_rate, self.propagation_delay, self.processing_delay)
-
 
 def build_topology(cfg: ExperimentConfig) -> Network:
     t = dict(cfg.topology)
     kind = t.pop("kind", None)
-    lp = cfg.link_params()
     try:
         if kind == "random":
-            net = gen_random(t["n"], t.get("p", 0.3), cfg.seed, lp)
+            net = gen_random(t["n"], t.get("p", 0.3), cfg.seed)
         elif kind == "waxman":
-            net = gen_waxman(t["n"], t.get("a", 0.4), t.get("b", 0.6), cfg.seed, lp)
+            net = gen_waxman(t["n"], t.get("a", 0.4), t.get("b", 0.6), cfg.seed)
         elif kind == "ring":
-            net = gen_ring(t["n"], lp)
+            net = gen_ring(t["n"])
         elif kind == "grid":
-            net = gen_grid(t["rows"], t["cols"], lp)
+            net = gen_grid(t["rows"], t["cols"])
         elif kind == "file":
             net = Network.load(t["path"])
         else:
@@ -332,21 +300,8 @@ def write_metrics_csv(path, metrics: list[IterationMetrics]) -> None:
         w = csv.writer(f)
         w.writerow(METRICS_HEADER)
         for m in metrics:
-            w.writerow(
-                [
-                    m.iteration,
-                    m.strategy,
-                    m.scheme,
-                    m.cps,
-                    m.rejected,
-                    f"{m.expansion_ms:.3f}",
-                    f"{m.solving_ms:.3f}",
-                    f"{m.total_ms:.3f}",
-                    m.vertices,
-                    m.edges,
-                    f"{m.routing_ms:.3f}",
-                ]
-            )
+            row = astuple(m)
+            w.writerow([f"{v:.3f}" if isinstance(v, float) else v for v in row])
 
 
 def plan_to_dict(plan: TrafficPlan) -> dict:

@@ -78,9 +78,6 @@ class Network:
     def is_bridge(self, nid: str) -> bool:
         return self.nodes[nid].kind == BRIDGE
 
-    def is_end_device(self, nid: str) -> bool:
-        return self.nodes[nid].kind == END_DEVICE
-
     def end_devices(self) -> list[str]:
         return sorted(n.id for n in self.nodes.values() if n.kind == END_DEVICE)
 
@@ -138,13 +135,8 @@ class Stream:
     dst: str
     period: int  # macro ticks
     size: int  # bytes
-    deadline: int = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.deadline is None:
-            object.__setattr__(self, "deadline", self.period)
-        if self.deadline != self.period:
-            raise ValueError("deadline must equal period")
         if self.period <= 0:
             raise ValueError("period must be > 0")
         if self.size <= 0:

@@ -186,7 +186,9 @@ def validate_plan(net: Network, plan: TrafficPlan) -> list[str]:
 
     Only streams sharing a link can collide on it. Without a deadline miss
     every interval lies inside its stream's period, so repeating it over its
-    link's hypercycle covers every wrap-around on that link.
+    link's hypercycle covers every wrap-around on that link. A late frame's
+    repetitions can run past the hypercycle's end; they are folded back into
+    it, so a late stream's collisions are reported along with its miss.
 
     Raises OracleBoundExceeded, before building a link's intervals, when
     they would number more than ORACLE_BOUND.
@@ -195,12 +197,14 @@ def validate_plan(net: Network, plan: TrafficPlan) -> list[str]:
     """
     problems: list[str] = []
     per_link: dict[tuple[str, str], list[tuple[int, int, str, int]]] = {}
+    late = False
     for sid, cfg in plan.assignments.items():
         stream = cfg.stream
         sched = link_occupancy(net, stream, cfg.route, cfg.phase)
-        if sched.arrival > stream.deadline:
+        if sched.arrival > stream.period:
+            late = True
             problems.append(
-                f"deadline miss: {sid} arrives at {sched.arrival} > {stream.deadline}"
+                f"deadline miss: {sid} arrives at {sched.arrival} > {stream.period}"
             )
         for key, s, e in sched.entries:
             per_link.setdefault(key, []).append((s, e, sid, stream.period))
@@ -217,6 +221,15 @@ def validate_plan(net: Network, plan: TrafficPlan) -> list[str]:
             for s, e, sid, period in entries
             for off in range(0, h, period)
         ]
+        if late:  # fold each interval into [0, h), splitting one that crosses h
+            folded = []
+            for s, e, sid in intervals:
+                s0 = s % h
+                e0 = s0 + e - s
+                folded.append((s0, min(e0, h), sid))
+                if e0 > h:
+                    folded.append((0, e0 - h, sid))
+            intervals = folded
         intervals.sort()
         for (s1, e1, id1), (s2, e2, id2) in zip(intervals, intervals[1:]):
             if s2 < e1:
@@ -236,12 +249,11 @@ class Planner:
         net: Network,
         params: ExpansionParams,
         k_routes: int = 2,
-        rng: Random | None = None,
     ):
         self.net = net
         self.params = params
         self.k_routes = k_routes
-        self.rng = rng if rng is not None else Random(params.rng_seed)
+        self.rng = Random(params.rng_seed)
         self.graph = ConflictGraph()
         self.state = IterationState(plan=TrafficPlan(-1))
 
@@ -274,7 +286,9 @@ class Planner:
         }
         new_streams = {s.id: s for s in routable.add}
         live = [state.admitted[sid] for sid in survivors] + routable.add
-        report = expand(g, routable, self.params, self.net, routes, live, self.rng)
+        t_expand = time.perf_counter()
+        expand(g, routable, self.params, self.net, routes, live, self.rng)
+        expansion_s = time.perf_counter() - t_expand
         # graph size as offered to the solver, before rejected streams are purged
         vertices, edges = g.vertex_count, g.edge_count
 
@@ -301,7 +315,7 @@ class Planner:
             scheme=self.params.scheme,
             cps=self.params.cps,
             rejected=len(rejected) + len(batch.add) - len(routable.add),
-            expansion_ms=report.seconds * 1000.0,
+            expansion_ms=expansion_s * 1000.0,
             solving_ms=solving_s * 1000.0,
             total_ms=total_s * 1000.0,
             vertices=vertices,

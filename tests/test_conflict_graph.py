@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -221,14 +220,6 @@ def test_stream_rank_symmetric_four_cycle(shared_net):
     pr = g.page_rank()
     assert g.stream_rank(pr, "x") == pytest.approx(0.5)
     assert g.stream_rank(pr, "y") == pytest.approx(0.5)
-
-
-def test_to_json_parses(shared_net):
-    g = ConflictGraph()
-    for i in range(3):
-        g.add_configuration(cfg(shared_net, f"s{i}", i, i))
-    doc = json.loads(g.to_json())
-    assert len(doc["vertices"]) == 3 and len(doc["edges"]) == 3
 
 
 @st.composite

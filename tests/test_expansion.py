@@ -30,6 +30,7 @@ from tsnplan.routing import candidate_routes
 from tsnplan.timing import max_phase
 
 from conftest import mkstream, shared_link_net
+from enumeration_oracle import oracle_randomized_enumeration
 
 
 def stub_graph(vertex_count=0):
@@ -177,6 +178,23 @@ def test_randomized_respects_exclusions(two_route_setup):
     out = randomized_enumeration(mps, 50, Random(5), exclude)
     assert not (set(out) & exclude)
     assert len(set(out)) == len(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-3, 2500), min_size=1, max_size=3),
+    st.integers(0, 80),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2600)), max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+def test_randomized_matches_list_pool_oracle(max_phases, budget, exclude, seed):
+    """Same phases in the same order as sampling from explicit pool lists,
+    and the generator is left in the same state."""
+    rng, oracle_rng = Random(seed), Random(seed)
+    out = randomized_enumeration(max_phases, budget, rng, set(exclude))
+    expected = oracle_randomized_enumeration(max_phases, budget, oracle_rng, set(exclude))
+    assert out == expected
+    assert rng.random() == oracle_rng.random()
 
 
 def test_budget_homogeneous():

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +209,12 @@ def test_metrics_csv_format(tmp_path):
         float(row["expansion_ms"]), float(row["solving_ms"]), float(row["total_ms"])
         assert row["strategy"] in ("homogeneous", "traffic-volume", "avg-degree",
                                    "page-rank")
+
+
+def test_metrics_header_matches_readme():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = readme.split("`metrics.csv` has one row per iteration:")[1]
+    assert documented.split("```")[1].strip() == ",".join(METRICS_HEADER)
 
 
 def test_run_experiment_determinism():

