@@ -6,7 +6,7 @@ from .harness import ExperimentConfig, run_experiment
 from .model import Network, Stream, StreamBatch, traffic_volume, hypercycle
 from .routing import Route, candidate_routes, shortest_path
 from .solver import Planner, TrafficPlan, gfh_solve, validate_plan
-from .timing import frames_conflict, link_occupancy, max_phase, transmission_time
+from .timing import frames_conflict, link_occupancy, transmission_time
 
 __all__ = [
     "Configuration",
@@ -25,7 +25,6 @@ __all__ = [
     "gfh_solve",
     "hypercycle",
     "link_occupancy",
-    "max_phase",
     "run_experiment",
     "shortest_path",
     "traffic_volume",

@@ -15,8 +15,9 @@ Vertex ids are never reused; a removed vertex leaves an empty id slot. The
 live edges are one pair of int64 arrays, (earlier vid, later vid), ordered
 by the later vid. An insertion only queues its sorted array of earlier-vid
 neighbours; queued arrays are merged into the pair when the edges are next
-read. Removals are flushed lazily by one mask over the pair, and the CSR
-matrix, the degrees and every metric are derived from the pair.
+read. Removals are flushed lazily by one mask over the pair. The CSR
+adjacency is a pair of arrays, (indptr, indices), built from the edge pair;
+the degrees and every metric are derived from it.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
-from .model import Network, Stream
+from .model import Stream
 from .routing import Route
-from .timing import OccupancySchedule, link_occupancy, periodic_overlap
+# link_occupancy is no longer called here, but perfbench/tracing.py wraps it
+# in this namespace
+from .timing import OccupancySchedule, link_occupancy, periodic_overlap  # noqa: F401
 
 PAGERANK_DAMPING = 0.85
 PAGERANK_ITERATIONS = 4
@@ -53,16 +55,6 @@ class Configuration:
     route: Route
     phase: int
     schedule: OccupancySchedule
-
-    @classmethod
-    def build(
-        cls, net: Network, stream: Stream, route_index: int, route: Route, phase: int
-    ) -> "Configuration":
-        base = link_occupancy(net, stream, route, 0)
-        mp = stream.period - base.arrival
-        if phase < 0 or phase > mp:
-            raise ValueError(f"phase {phase} outside [0, {mp}]")
-        return cls(stream, route_index, route, phase, base)
 
     @property
     def key(self) -> tuple[str, int, int]:
@@ -129,7 +121,7 @@ class ConflictGraph:
         # earlier-vid neighbours of each vertex inserted since the last merge
         self._pending: list[np.ndarray] = []
         self._pending_removal = False
-        self._csr: sp.csr_matrix | None = None
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -158,25 +150,8 @@ class ConflictGraph:
             raise KeyError(f"vertex {vid} was removed")
         return cfg
 
-    def vids(self) -> list[int]:
-        return sorted(self._key2vid.values())
-
     def find_vid(self, stream_id: str, route_index: int, phase: int) -> int | None:
         return self._key2vid.get((stream_id, route_index, phase))
-
-    def degree(self, vid: int) -> int:
-        return int(self._degrees()[vid])
-
-    def neighbors(self, vid: int) -> np.ndarray:
-        m = self.csr()
-        return m.indices[m.indptr[vid] : m.indptr[vid + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors(u)
-
-    def edges(self) -> list[tuple[int, int]]:
-        lo, hi = self._edge_pair()
-        return list(zip(lo.tolist(), hi.tolist()))
 
     # -- mutation ----------------------------------------------------------
 
@@ -257,22 +232,22 @@ class ConflictGraph:
 
     # -- derived structure and metrics -------------------------------------
 
-    def csr(self) -> sp.csr_matrix:
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency as (indptr, indices) over all vid slots: the neighbours of
+        v are indices[indptr[v]:indptr[v + 1]], in ascending order. The pair
+        is ordered by the later vid and then the earlier one, so a stable sort
+        by row lists each row's lower neighbours, then its higher ones."""
         if self._csr is None:  # a removal or insertion drops the cache
             lo, hi = self._edge_pair()
-            n = len(self._configs)
-            self._csr = sp.csr_matrix(
-                (
-                    np.ones(2 * len(lo), dtype=np.int8),
-                    (np.concatenate([hi, lo]), np.concatenate([lo, hi])),
-                ),
-                shape=(n, n),
-            )
+            rows = np.concatenate([hi, lo])
+            indices = np.concatenate([lo, hi])[np.argsort(rows, kind="stable")]
+            counts = np.bincount(rows, minlength=len(self._configs))
+            self._csr = (np.concatenate([[0], np.cumsum(counts)]), indices)
         return self._csr
 
     def _degrees(self) -> np.ndarray:
         """Degree of every vid slot; 0 for removed ones."""
-        return np.diff(self.csr().indptr)
+        return np.diff(self.csr()[0])
 
     def avg_degree(self, stream_id: str) -> Fraction:
         vids = self._color_vids.get(stream_id)
@@ -287,15 +262,19 @@ class ConflictGraph:
         n = self.vertex_count
         if n == 0:
             return {}
-        m = self.csr()
+        indptr, indices = self.csr()
+        slots = len(indptr) - 1
         alive = self._alive_mask()
         live = np.flatnonzero(alive)
-        deg = self._degrees().astype(np.float64)
+        deg = self._degrees()
         dangling = alive & (deg == 0)
         safe = np.where(deg > 0, deg, 1.0)
         p = np.where(alive, 1.0 / n, 0.0)
+        # bincount adds each row's terms in neighbour order, as a sequential
+        # CSR matvec does, so the scores do not depend on how rows are summed
+        rows = np.repeat(np.arange(slots), deg)
         for _ in range(PAGERANK_ITERATIONS):
-            spread = m @ (p / safe)
+            spread = np.bincount(rows, (p / safe)[indices], slots)
             mass = p[dangling].sum()
             p_new = (1.0 - PAGERANK_DAMPING) / n + PAGERANK_DAMPING * (spread + mass / n)
             p_new = np.where(alive, p_new, 0.0)

@@ -69,8 +69,7 @@ def gfh_solve(
     n_colors = len(colors)
     cindex = {c: i for i, c in enumerate(colors)}
     n_slots = g.slot_count
-    m = g.csr()
-    indptr, indices = m.indptr, m.indices
+    indptr, indices = g.csr()
     state = np.zeros(n_slots, dtype=np.int8)
 
     color_vids = [np.array(g.vids_of(c), dtype=np.int64) for c in colors]

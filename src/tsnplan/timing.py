@@ -15,7 +15,7 @@ import numpy as np
 from .model import Network, Stream
 from .routing import Route
 
-#: default tick bound for the brute-force oracle
+#: tick bound for the brute-force oracles
 ORACLE_BOUND = 10**6
 
 
@@ -60,12 +60,6 @@ def link_occupancy(
     return OccupancySchedule(tuple(entries), t)
 
 
-def max_phase(net: Network, stream: Stream, route: Route) -> int:
-    """Largest phase meeting the deadline; negative means the route is
-    infeasible at any phase."""
-    return stream.period - link_occupancy(net, stream, route, 0).arrival
-
-
 def periodic_overlap(sa, ea, pa, sb, eb, pb):
     """Do the periodic repetitions of [sa,ea) mod pa and [sb,eb) mod pb
     overlap anywhere within their common hypercycle? Arguments are integers
@@ -106,13 +100,14 @@ def brute_force_conflict(
     period_a: int,
     b: OccupancySchedule,
     period_b: int,
-    bound: int = ORACLE_BOUND,
 ) -> bool:
     """Tick-simulation oracle: mark every occupied link-tick of both schedules
     over the hypercycle and look for a double booking."""
     h = math.lcm(period_a, period_b)
-    if h > bound:
-        raise OracleBoundExceeded(f"hypercycle {h} exceeds oracle bound {bound}")
+    if h > ORACLE_BOUND:
+        raise OracleBoundExceeded(
+            f"hypercycle {h} exceeds oracle bound {ORACLE_BOUND}"
+        )
     maps: dict[tuple[str, str], bytearray] = {}
     for key, s, e in a.entries:
         bm = maps.setdefault(key, bytearray(h))

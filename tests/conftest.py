@@ -8,8 +8,10 @@ streams can be dialed in exactly by choosing sizes and phases.
 
 import pytest
 
+from tsnplan.conflict_graph import Configuration
 from tsnplan.model import BRIDGE, END_DEVICE, Link, Network, Node, Stream
 from tsnplan.routing import Route
+from tsnplan.timing import link_occupancy
 
 
 def shared_link_net(n_pairs: int = 4, rate: int = 1000, prop: int = 1,
@@ -59,3 +61,25 @@ def mkstream(sid: str, period: int = 100, size: int = 500, src: str = "a0",
 @pytest.fixture
 def shared_net():
     return shared_link_net()
+
+
+def max_phase(net: Network, stream: Stream, route: Route) -> int:
+    """Largest phase meeting the deadline; negative means the route is
+    infeasible at any phase."""
+    return stream.period - link_occupancy(net, stream, route, 0).arrival
+
+
+def build_config(net: Network, stream: Stream, route_index: int, route: Route,
+                 phase: int) -> Configuration:
+    """The configuration `expand` would add for (stream, route, phase)."""
+    base = link_occupancy(net, stream, route, 0)
+    return Configuration(stream, route_index, route, phase, base)
+
+
+def live_vids(g) -> list[int]:
+    return sorted(v for c in g.colors() for v in g.vids_of(c))
+
+
+def neighbors(g, vid: int) -> list[int]:
+    indptr, indices = g.csr()
+    return indices[indptr[vid] : indptr[vid + 1]].tolist()

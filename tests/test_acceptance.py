@@ -36,9 +36,9 @@ from tsnplan.timing import (
     OccupancySchedule,
     brute_force_conflict,
     frames_conflict,
-    max_phase,
 )
 
+from conftest import max_phase
 from test_solver import FakeGraph, check_solution, exhaustive_best
 
 SIZES = [125, 250, 500, 750, 1000, 1500]

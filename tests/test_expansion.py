@@ -27,9 +27,8 @@ from tsnplan.expansion import (
 from tsnplan.harness import gen_ring
 from tsnplan.model import Stream, StreamBatch
 from tsnplan.routing import candidate_routes
-from tsnplan.timing import max_phase
 
-from conftest import mkstream, shared_link_net
+from conftest import live_vids, max_phase, mkstream, shared_link_net
 from enumeration_oracle import oracle_randomized_enumeration
 
 
@@ -315,7 +314,7 @@ def test_expand_deterministic_ladder_layout():
     streams = [ring_stream("s0")]
     params = ExpansionParams(cps=6, scheme="deterministic")
     g, _ = expand_on_ring(streams, params)
-    got = sorted((g.config(v).route_index, g.config(v).phase) for v in g.vids())
+    got = sorted((g.config(v).route_index, g.config(v).phase) for v in live_vids(g))
     # delta is the single stream's 4-tick source transmission time
     assert got == [(0, 0), (0, 4), (0, 8), (1, 0), (1, 4), (1, 8)]
 

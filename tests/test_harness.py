@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tsnplan
 from tsnplan.cli import main
 from tsnplan.harness import (
     METRICS_HEADER,
@@ -355,3 +359,16 @@ def test_cli_overrides(tmp_path):
     assert row["scheme"] == "deterministic"
     assert row["strategy"] == "traffic-volume"
     assert row["cps"] == "6"
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only array dependency; a scipy import costs ~0.2 s per run
+    src = str(Path(tsnplan.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import tsnplan, tsnplan.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.strip() == "[]"

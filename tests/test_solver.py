@@ -5,7 +5,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from tsnplan.conflict_graph import Configuration, ConflictGraph
 from tsnplan.expansion import ExpansionParams
@@ -24,7 +23,7 @@ from tsnplan.solver import (
 )
 from tsnplan.timing import OracleBoundExceeded, link_occupancy
 
-from conftest import mkstream, shared_link_net, through_route
+from conftest import build_config, mkstream, neighbors, shared_link_net, through_route
 
 
 class FakeGraph:
@@ -34,16 +33,15 @@ class FakeGraph:
     def __init__(self, n, edges, color_of):
         self.slot_count = n
         self._color_of = color_of
-        rows, cols = [], []
-        for u, v in edges:
-            rows += [u, v]
-            cols += [v, u]
-        self._m = sp.csr_matrix(
-            (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
+        rows = [sorted({u for e in edges if v in e for u in e if u != v})
+                for v in range(n)]
+        self._csr = (
+            np.cumsum([0] + [len(r) for r in rows]),
+            np.array([u for r in rows for u in r], dtype=np.int64),
         )
 
     def csr(self):
-        return self._m
+        return self._csr
 
     def vids_of(self, color):
         return [v for v in range(self.slot_count) if self._color_of[v] == color]
@@ -58,8 +56,7 @@ def exhaustive_best(fake: FakeGraph, colors, required):
     that covers all required colors; None if required colors cannot all be
     covered."""
     per_color = [fake.vids_of(c) for c in colors]
-    adj = {v: set(fake.csr().indices[fake.csr().indptr[v]:fake.csr().indptr[v + 1]])
-           for v in range(fake.slot_count)}
+    adj = {v: set(neighbors(fake, v)) for v in range(fake.slot_count)}
     best = None
     req = [c in required for c in colors]
     for picks in itertools.product(*[vids + [None] for vids in per_color]):
@@ -80,7 +77,7 @@ def check_solution(fake, colors, selection, rejected):
         assert fake._color_of[v] == c
     chosen = list(selection.values())
     for a, b in itertools.combinations(chosen, 2):
-        assert not fake._m[a, b]
+        assert b not in neighbors(fake, a)
 
 
 def test_edgeless_selects_all_colors():
@@ -159,7 +156,7 @@ def test_solver_oracle_random_instances():
 
 def cfg(net, sid, i, phi, period=100, size=500):
     s = mkstream(sid, period=period, size=size, src=f"a{i}", dst=f"z{i}")
-    return Configuration.build(net, s, 0, through_route(net, i), phi)
+    return build_config(net, s, 0, through_route(net, i), phi)
 
 
 def test_offensive_beats_defensive_by_reconfiguring():
@@ -248,7 +245,7 @@ def test_validate_plan_sweeps_each_link_over_its_own_hypercycle():
     for i, period in zip((0, 2, 4), (997, 1009, 1013)):
         s = Stream(f"s{i}", f"d{i}", f"d{i + 1}", period, 125)
         route = shortest_path(net, s.src, s.dst)
-        plan.assignments[s.id] = Configuration.build(net, s, 0, route, 0)
+        plan.assignments[s.id] = build_config(net, s, 0, route, 0)
     t0 = time.perf_counter()
     assert validate_plan(net, plan) == []
     assert time.perf_counter() - t0 < 1.0

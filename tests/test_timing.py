@@ -8,11 +8,10 @@ from tsnplan.timing import (
     brute_force_conflict,
     frames_conflict,
     link_occupancy,
-    max_phase,
     transmission_time,
 )
 
-from conftest import chain_net, chain_route, mkstream
+from conftest import chain_net, chain_route, max_phase, mkstream
 
 L = ("n0", "n1")  # arbitrary shared directed link for synthetic schedules
 
