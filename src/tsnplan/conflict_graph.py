@@ -270,8 +270,8 @@ class ConflictGraph:
         dangling = alive & (deg == 0)
         safe = np.where(deg > 0, deg, 1.0)
         p = np.where(alive, 1.0 / n, 0.0)
-        # bincount adds each row's terms in neighbour order, as a sequential
-        # CSR matvec does, so the scores do not depend on how rows are summed
+        # bincount adds each row's terms left to right in neighbour order, as a
+        # sequential CSR matvec does; another order can change the last bits
         rows = np.repeat(np.arange(slots), deg)
         for _ in range(PAGERANK_ITERATIONS):
             spread = np.bincount(rows, (p / safe)[indices], slots)
