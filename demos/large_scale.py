@@ -9,6 +9,7 @@ and can run for a long time; pass smaller values to taste, e.g.:
 """
 
 import argparse
+import resource
 import time
 
 from tsnplan.harness import ExperimentConfig, run_experiment
@@ -41,6 +42,9 @@ def main():
     print(f"  expansion   {m.expansion_ms / 1000:.1f} s")
     print(f"  solving     {m.solving_ms / 1000:.1f} s")
     print(f"  wall clock  {time.perf_counter() - t0:.1f} s")
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"  peak RSS    {peak:.0f} MiB")
 
 
 if __name__ == "__main__":

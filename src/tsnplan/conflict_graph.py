@@ -6,18 +6,26 @@ link somewhere in their pairwise hypercycle. Same-color conflicts are never
 materialized: the colorful-set rule already forbids picking two vertices of
 one color.
 
-Insertion checks the new configuration against every existing one. To keep
-that affordable at graph sizes in the tens of thousands, occupancy intervals
-are indexed per directed link in flat numpy arrays and the periodic-overlap
-test runs vectorized over each link's interval list.
+Insertion only queues a vertex. `join_queued` joins every queued vertex
+against the stored intervals, and against the other queued vertices, in one
+chunked numpy pass. `expand` calls it; otherwise the first read of the edges
+or removal of a stream does.
+
+The occupancy intervals are stored as flat columns sorted by (link, period,
+start); the rows of one link and period form a class. Two intervals conflict
+only if some multiple m of g = gcd(pa, pb) satisfies sa - eb < m < ea - sb.
+So the starts in a class that can conflict with a query interval lie in one
+window per such m, as wide as the query plus the class's longest interval,
+and `searchsorted` finds each window. When the windows touch, or outnumber
+the class's rows or `MAX_WINDOWS`, the query scans one window that spans
+them all instead. `periodic_overlap` is the exact filter on every candidate.
 
 Vertex ids are never reused; a removed vertex leaves an empty id slot. The
 live edges are one pair of int64 arrays, (earlier vid, later vid), ordered
-by the later vid. An insertion only queues its sorted array of earlier-vid
-neighbours; queued arrays are merged into the pair when the edges are next
-read. Removals are flushed lazily by one mask over the pair. The CSR
-adjacency is a pair of arrays, (indptr, indices), built from the edge pair;
-the degrees and every metric are derived from it.
+by the later vid and then the earlier one; a join appends its edges in that
+order. Removals are flushed lazily by one mask over the store and the pair.
+The CSR adjacency is a pair of arrays, (indptr, indices), built from the edge
+pair; the degrees and every metric are derived from it.
 """
 
 from __future__ import annotations
@@ -29,12 +37,26 @@ import numpy as np
 
 from .model import Stream
 from .routing import Route
-# link_occupancy is no longer called here, but perfbench/tracing.py wraps it
-# in this namespace
+# link_occupancy is not called here: the graph shifts each configuration's
+# shared phase-0 schedule by its phase. perfbench/tracing.py still wraps the
+# name in this namespace and fails a traced run when it is missing.
 from .timing import OccupancySchedule, link_occupancy, periodic_overlap  # noqa: F401
 
 PAGERANK_DAMPING = 0.85
 PAGERANK_ITERATIONS = 4
+
+#: queued intervals per join chunk, windows per query interval and class, and
+#: candidate rows per `periodic_overlap` call; together they bound the join's
+#: temporary arrays
+JOIN_CHUNK = 512
+MAX_WINDOWS = 64
+CANDIDATE_CHUNK = 1 << 16
+
+#: columns of the interval store, one row per (vertex, link)
+_COLUMNS = {
+    "link": np.int32, "period": np.int32, "start": np.int64, "end": np.int64,
+    "vid": np.int32, "color": np.int32,
+}
 
 
 class DuplicateConfiguration(Exception):
@@ -61,51 +83,94 @@ class Configuration:
         return (self.stream.id, self.route_index, self.phase)
 
 
-class _Bucket:
-    """Growable interval store for one directed link."""
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and rank of each item when owner i has counts[i] items: for
+    counts [2, 0, 3], owners [0, 0, 2, 2, 2] and ranks [0, 1, 0, 1, 2]."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    rank = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    return owner, rank
 
-    __slots__ = ("n", "vid", "start", "end", "period", "color")
 
-    def __init__(self):
-        self.n = 0
-        cap = 16
-        self.vid = np.empty(cap, dtype=np.int64)
-        self.start = np.empty(cap, dtype=np.int64)
-        self.end = np.empty(cap, dtype=np.int64)
-        self.period = np.empty(cap, dtype=np.int64)
-        self.color = np.empty(cap, dtype=np.int64)
+class _Classes:
+    """The (link, period) classes of a sorted store: per class its period,
+    row count, longest interval and first and last start, and per row a key
+    that increases through the whole store, so that one `searchsorted` finds
+    a window of starts inside any class."""
 
-    def append(self, vid: int, start: int, end: int, period: int, color: int):
-        if self.n == len(self.vid):
-            for name in self.__slots__[1:]:
-                arr = getattr(self, name)
-                grown = np.empty(2 * len(arr), dtype=np.int64)
-                grown[: self.n] = arr[: self.n]
-                setattr(self, name, grown)
-        i = self.n
-        self.vid[i] = vid
-        self.start[i] = start
-        self.end[i] = end
-        self.period[i] = period
-        self.color[i] = color
-        self.n += 1
+    def __init__(self, store: dict[str, np.ndarray], n_links: int):
+        link, period, start = store["link"], store["period"], store["start"]
+        cut = np.flatnonzero((link[1:] != link[:-1]) | (period[1:] != period[:-1])) + 1
+        first = np.concatenate([[0], cut])
+        last = np.concatenate([cut, [len(link)]])
+        self.period = period[first].astype(np.int64)
+        self.size = last - first
+        self.longest = np.maximum.reduceat(store["end"] - start, first)
+        self.smin, self.smax = start[first], start[last - 1]
+        span = self.smax - self.smin + 1
+        # the key of start s in class c is base[c] + s
+        self.base = np.cumsum(span) - span - self.smin
+        self.key = np.repeat(self.base, self.size) + start
+        # the classes of link l are [first_of[l], end_of[l])
+        links = np.arange(n_links)
+        self.first_of = np.searchsorted(link[first], links)
+        self.end_of = np.searchsorted(link[first], links, side="right")
 
-    def query(self, start: int, end: int, period: int, color: int) -> np.ndarray:
-        """Vids of stored intervals of other colors whose periodic repetitions
-        overlap [start, end) repeated with `period` (hypercycle-bounded)."""
-        n = self.n
-        hit = periodic_overlap(
-            start, end, period, self.start[:n], self.end[:n], self.period[:n]
+    def conflicts(self, q: dict[str, np.ndarray], store: dict[str, np.ndarray]) -> np.ndarray:
+        """Edges of the query rows `q` to earlier vids of other colors, as
+        sorted unique codes (later vid << 32 | earlier vid)."""
+        # one pair per query row and class on its link
+        first = self.first_of[q["link"]]
+        qi, k = _ragged(self.end_of[q["link"]] - first)
+        c = first[qi] + k
+        sa, ea = q["start"][qi], q["end"][qi]
+        pa, pb, longest = q["period"][qi].astype(np.int64), self.period[c], self.longest[c]
+        g = np.gcd(pa, pb)
+        h = pa // g * pb
+        # the multiples m of g that some row of the class can satisfy, within
+        # the band periodic_overlap allows
+        lo = np.maximum(sa - self.smax[c] - longest + 1, pa - h)
+        hi = np.minimum(ea - self.smin[c] - 1, h - pb)
+        m_first = -(-lo // g) * g
+        m_last = hi // g * g
+        n_win = np.maximum((m_last - m_first) // g + 1, 0)
+        # one spanning window when the windows touch or outnumber the rows
+        spanning = (g <= ea - sa + longest - 1) | (
+            n_win > np.minimum(self.size[c], MAX_WINDOWS)
         )
-        return self.vid[:n][hit & (self.color[:n] != color)]
+        n_win[spanning] = np.minimum(n_win[spanning], 1)
 
-    def filter(self, keep_mask: np.ndarray):
-        n = self.n
-        idx = np.flatnonzero(keep_mask)
-        for name in self.__slots__[1:]:
-            arr = getattr(self, name)
-            arr[: len(idx)] = arr[:n][idx]
-        self.n = len(idx)
+        # the window of multiple m holds the starts in [sa - m - longest + 1, ea - m)
+        w, k = _ragged(n_win)
+        m_top = np.where(spanning[w], m_last[w], m_first[w] + k * g[w])
+        m_bot = np.where(spanning[w], m_first[w], m_top)
+        cw = c[w]
+        floor, ceil = self.smin[cw], self.smax[cw] + 1
+        start_lo = np.clip(sa[w] - m_top - longest[w] + 1, floor, ceil)
+        start_hi = np.clip(ea[w] - m_bot, floor, ceil)
+        row_lo = np.searchsorted(self.key, self.base[cw] + start_lo)
+        n_cand = np.maximum(np.searchsorted(self.key, self.base[cw] + start_hi) - row_lo, 0)
+        owner = qi[w]
+
+        codes = [np.empty(0, dtype=np.int64)]
+        total = np.cumsum(n_cand)
+        cuts = np.searchsorted(
+            total, np.arange(CANDIDATE_CHUNK, total[-1] if len(total) else 0, CANDIDATE_CHUNK)
+        )
+        for a, b in zip([0, *cuts], [*cuts, len(n_cand)]):
+            wi, k = _ragged(n_cand[a:b])
+            j = row_lo[a:b][wi] + k
+            r = owner[a:b][wi]
+            keep = (store["vid"][j] < q["vid"][r]) & (store["color"][j] != q["color"][r])
+            j, r = j[keep], r[keep]
+            hit = periodic_overlap(
+                q["start"][r], q["end"][r], q["period"][r].astype(np.int64),
+                store["start"][j], store["end"][j], store["period"][j].astype(np.int64),
+            )
+            codes.append(q["vid"][r[hit]].astype(np.int64) << 32 | store["vid"][j[hit]])
+        # a pair that conflicts on several links is found once per link;
+        # sort and drop repeats (np.unique hashes first, and is slower)
+        codes = np.sort(np.concatenate(codes))
+        return codes[np.diff(codes, prepend=-1) != 0]
 
 
 class ConflictGraph:
@@ -114,12 +179,13 @@ class ConflictGraph:
         self._color_vids: dict[str, list[int]] = {}
         self._key2vid: dict[tuple[str, int, int], int] = {}
         self._color_code: dict[str, int] = {}
-        self._buckets: dict[tuple[str, str], _Bucket] = {}
+        self._link_code: dict[tuple[str, str], int] = {}
+        # the intervals of the joined vertices, sorted by (link, period, start)
+        self._store = {name: np.empty(0, dtype=t) for name, t in _COLUMNS.items()}
+        self._joined = 0  # vids from here on are queued
         # live edges as (earlier vid, later vid), ordered by the later vid
         self._lo = np.empty(0, dtype=np.int64)
         self._hi = np.empty(0, dtype=np.int64)
-        # earlier-vid neighbours of each vertex inserted since the last merge
-        self._pending: list[np.ndarray] = []
         self._pending_removal = False
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -156,38 +222,23 @@ class ConflictGraph:
     # -- mutation ----------------------------------------------------------
 
     def add_configuration(self, cfg: Configuration) -> int:
-        self._flush_removals()
+        """Give the configuration a vid and queue it for the next join."""
         if cfg.key in self._key2vid:
             raise DuplicateConfiguration(f"{cfg.key} already present")
         sid = cfg.stream.id
-        code = self._color_code.setdefault(sid, len(self._color_code))
-        period, phase = cfg.stream.period, cfg.phase
+        self._color_code.setdefault(sid, len(self._color_code))
         vid = len(self._configs)
-        hits = []
-        for link_key, start, end in cfg.schedule.entries:
-            start, end = start + phase, end + phase
-            bucket = self._buckets.get(link_key)
-            if bucket is None:
-                bucket = self._buckets[link_key] = _Bucket()
-            else:
-                hits.append(bucket.query(start, end, period, code))
-            # the query skips this color: no self-hit on a later link
-            bucket.append(vid, start, end, period, code)
-        if hits:
-            nbrs = np.unique(np.concatenate(hits))
-        else:
-            nbrs = np.empty(0, dtype=np.int64)
         self._configs.append(cfg)
-        self._pending.append(nbrs)
         self._color_vids.setdefault(sid, []).append(vid)
         self._key2vid[cfg.key] = vid
         self._csr = None
         return vid
 
     def remove_stream(self, stream_id: str) -> int:
-        vids = self._color_vids.pop(stream_id, None)
-        if not vids:
+        if not self._color_vids.get(stream_id):
             return 0
+        self.join_queued()  # the join reads the configurations removal drops
+        vids = self._color_vids.pop(stream_id)
         for v in vids:
             self._key2vid.pop(self._configs[v].key)
             self._configs[v] = None
@@ -195,37 +246,85 @@ class ConflictGraph:
         self._csr = None
         return len(vids)
 
+    def join_queued(self) -> None:
+        """Append the edges of every queued vertex, after flushing removals.
+        The queued intervals join the store first, so they meet each other
+        too; the pass runs in chunks of whole vertices."""
+        first = self._joined
+        if first == len(self._configs):
+            return
+        self._flush_removals()
+        self._joined = len(self._configs)
+        new = self._queued_rows(first)
+        store = {name: np.concatenate([col, new[name]])
+                 for name, col in self._store.items()}
+        order = np.lexsort((store["start"], store["period"], store["link"]))
+        store = self._store = {name: col[order] for name, col in store.items()}
+        del order  # free it before the pass, as the rebinding freed the unsorted copy
+        classes = _Classes(store, len(self._link_code))
+        vid = new["vid"]
+        cuts = np.unique(np.searchsorted(vid, vid[::JOIN_CHUNK]))
+        codes = [
+            classes.conflicts({name: col[a:b] for name, col in new.items()}, store)
+            for a, b in zip(cuts, [*cuts[1:], len(vid)])
+        ]
+        codes = np.concatenate(codes)
+        self._lo = np.concatenate([self._lo, codes & 0xFFFFFFFF])
+        self._hi = np.concatenate([self._hi, codes >> 32])
+        self._csr = None
+
+    def _queued_rows(self, first: int) -> dict[str, np.ndarray]:
+        """Store rows of the vertices from `first` on, in vid order: the
+        entries of each one's shared phase-0 schedule, shifted by its phase."""
+        queued = self._configs[first:]
+        scheds: list[OccupancySchedule] = []
+        index: dict[int, int] = {}  # id of a schedule -> its place in scheds
+        which = []
+        for c in queued:
+            i = index.setdefault(id(c.schedule), len(scheds))
+            if i == len(scheds):
+                scheds.append(c.schedule)
+            which.append(i)
+        code = self._link_code
+        entries = [e for s in scheds for e in s.entries]
+        link = np.array(
+            [code.setdefault(key, len(code)) for key, _, _ in entries], dtype=np.int64
+        )
+        start = np.array([s for _, s, _ in entries], dtype=np.int64)
+        end = np.array([e for _, _, e in entries], dtype=np.int64)
+        hops = np.array([len(s.entries) for s in scheds], dtype=np.int64)
+        which = np.array(which, dtype=np.int64)
+        vert, hop = _ragged(hops[which])
+        entry = (np.cumsum(hops) - hops)[which][vert] + hop
+        n = len(queued)
+        phase = np.fromiter((c.phase for c in queued), np.int64, n)[vert]
+        period = np.fromiter((c.stream.period for c in queued), np.int64, n)
+        color = np.fromiter((self._color_code[c.stream.id] for c in queued), np.int64, n)
+        rows = {
+            "link": link[entry], "period": period[vert], "start": start[entry] + phase,
+            "end": end[entry] + phase, "vid": first + vert, "color": color[vert],
+        }
+        return {name: rows[name].astype(t) for name, t in _COLUMNS.items()}
+
     def _alive_mask(self) -> np.ndarray:
         alive = np.zeros(len(self._configs), dtype=bool)
         alive[list(self._key2vid.values())] = True
         return alive
 
     def _edge_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """The live edges: removals flushed, pending insertions merged."""
+        """The live edges: queued vertices joined, removals flushed."""
+        self.join_queued()
         self._flush_removals()
-        self._merge_pending()
         return self._lo, self._hi
 
-    def _merge_pending(self) -> None:
-        if self._pending:
-            first = len(self._configs) - len(self._pending)
-            counts = [len(nbrs) for nbrs in self._pending]
-            later = np.repeat(np.arange(first, len(self._configs)), counts)
-            self._lo = np.concatenate([self._lo, *self._pending])
-            self._hi = np.concatenate([self._hi, later])
-            self._pending = []
-
     def _flush_removals(self) -> None:
-        """Purge dead vertices from the link index and the edge list; done
-        once per removal batch, on the next query or insertion."""
+        """Purge dead vertices from the store and the edge list; done once
+        per removal batch, on the next join or read."""
         if not self._pending_removal:
             return
         alive = self._alive_mask()
-        for bucket in self._buckets.values():
-            n = bucket.n
-            if n:
-                bucket.filter(alive[bucket.vid[:n]])
-        self._merge_pending()
+        keep = alive[self._store["vid"]]
+        self._store = {name: col[keep] for name, col in self._store.items()}
         keep = alive[self._lo] & alive[self._hi]
         self._lo, self._hi = self._lo[keep], self._hi[keep]
         self._pending_removal = False

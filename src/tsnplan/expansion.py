@@ -308,6 +308,7 @@ def expand(
         r_i = remaining_budget(vbar, g, batch, params.alpha)
         for s in new_streams:
             place(s, params.alpha)
+        g.join_queued()  # the metric reads the edges: join here, as at the end
         if params.strategy == "avg-degree":
             extras = budget_avg_degree(batch, r_i, g)
         else:
@@ -316,6 +317,9 @@ def expand(
         for s in new_streams:
             place(s, extras[s.id])
 
+    # the join is graph creation: run it here, in expansion's own time, not
+    # inside the first read of the edges
+    g.join_queued()
     report.budgets = budgets
     report.vertices_added = g.vertex_count - v0
     return report

@@ -20,6 +20,7 @@ from .expansion import ExpansionParams
 from .model import (
     BRIDGE,
     END_DEVICE,
+    MAX_PERIOD,
     Link,
     Network,
     Node,
@@ -182,6 +183,11 @@ class ExperimentConfig:
     k_routes: int = 2
     seed: int = 0
     out_dir: str | None = None
+
+    def __post_init__(self):
+        bad = [p for p in self.periods if type(p) is not int or not 0 < p < MAX_PERIOD]
+        if bad:
+            raise ConfigError(f"periods must be ints > 0 and < 2**31, got {bad}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -16,6 +16,10 @@ from typing import Iterable
 BRIDGE = "bridge"
 END_DEVICE = "end-device"
 
+#: periods are below this bound, so the lcm of any two stays below 2**63
+#: and the conflict test's int64 arithmetic cannot wrap
+MAX_PERIOD = 2**31
+
 
 @dataclass(frozen=True)
 class Node:
@@ -137,8 +141,8 @@ class Stream:
     size: int  # bytes
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be > 0")
+        if not 0 < self.period < MAX_PERIOD:
+            raise ValueError(f"period must be > 0 and < 2**31, got {self.period}")
         if self.size <= 0:
             raise ValueError("size must be > 0")
         if self.src == self.dst:

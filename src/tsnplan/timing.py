@@ -64,7 +64,8 @@ def periodic_overlap(sa, ea, pa, sb, eb, pb):
     """Do the periodic repetitions of [sa,ea) mod pa and [sb,eb) mod pb
     overlap anywhere within their common hypercycle? Arguments are integers
     or int64 arrays and broadcast; the result is a boolean array. The
-    arithmetic is int64, so lcm(pa, pb) must stay below 2**63.
+    arithmetic is int64: periods below `MAX_PERIOD` keep lcm(pa, pb) below
+    2**63.
 
     Repetition indices range over [0, H/p) with H = lcm(pa, pb); the
     achievable start differences are exactly the multiples of gcd(pa, pb)

@@ -1,4 +1,5 @@
 import itertools
+from random import Random
 
 import numpy as np
 import pytest
@@ -13,6 +14,10 @@ from tsnplan.conflict_graph import (
     DuplicateConfiguration,
     NoVertices,
 )
+from tsnplan.expansion import STRATEGIES, ExpansionParams, expand
+from tsnplan.harness import gen_grid, gen_streams, gen_waxman
+from tsnplan.model import StreamBatch
+from tsnplan.routing import candidate_routes
 from tsnplan.timing import brute_force_conflict, frames_conflict, link_occupancy
 
 from conftest import (
@@ -24,6 +29,8 @@ from conftest import (
     shared_link_net,
     through_route,
 )
+from insertion_oracle import LinearScanGraph
+from test_acceptance import HARMONIC, NON_HARMONIC, SIZES
 
 # On shared_link_net (processing 0, propagation 1, rate 1000) a stream of
 # size S entering at phase phi occupies the shared link (b0, b1) during
@@ -221,36 +228,60 @@ def test_stream_rank_symmetric_four_cycle(shared_net):
 
 @st.composite
 def graph_scenario(draw):
-    """Up to 4 colors x up to 3 configurations with mixed periods/sizes,
-    plus a subset of colors to remove afterwards."""
-    colors = draw(st.integers(1, 4))
+    """Up to 5 colors x up to 3 configurations with mixed periods and sizes,
+    on routes a_i -> z_j that share the middle link and some end links,
+    inserted in a drawn order. After each insertion comes one of: nothing
+    (None), a read of the edges ("read"), or the removal of a color (its
+    index)."""
+    colors = draw(st.integers(1, 5))
     specs = []
-    for i in range(colors):
-        period = draw(st.sampled_from([25, 50, 100]))
+    for c in range(colors):
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        period = draw(st.sampled_from([25, 50, 60, 97, 100, 150]))
         size = draw(st.sampled_from([125, 500]))
-        n_cfg = draw(st.integers(1, 3))
-        phases = draw(
-            st.lists(st.integers(0, 50), min_size=n_cfg, max_size=n_cfg, unique=True)
-        )
-        specs.append((i, period, size, phases))
-    removed = draw(st.sets(st.integers(0, colors - 1)))
-    return specs, removed
+        phases = draw(st.lists(st.integers(0, 150), min_size=1, max_size=3, unique=True))
+        specs.append((i, j, period, size, phases))
+    order = draw(st.permutations([(c, phi) for c, spec in enumerate(specs) for phi in spec[4]]))
+    after = draw(st.lists(
+        st.one_of(st.none(), st.just("read"), st.integers(0, colors - 1)),
+        min_size=len(order), max_size=len(order),
+    ))
+    return specs, list(zip(order, after))
 
 
-@settings(max_examples=60, deadline=None)
+def build_scenario_graph(net, specs, steps, read_each: bool) -> ConflictGraph:
+    """Replay the scenario's insertions, reads and removals; with
+    `read_each`, also read the edges after every insertion. A removed color
+    gets no more configurations."""
+    g = ConflictGraph()
+    removed = set()
+    for (c, phi), after in steps:
+        i, j, period, size, _ = specs[c]
+        s = mkstream(f"s{c}", period=period, size=size, src=f"a{i}", dst=f"z{j}")
+        route = through_route(net, i, j)
+        phi %= max_phase(net, s, route) + 1
+        if c not in removed and g.find_vid(s.id, 0, phi) is None:
+            g.add_configuration(build_config(net, s, 0, route, phi))
+            if read_each:
+                g.csr()
+        if after == "read":
+            g.csr()
+        elif after is not None and g.remove_stream(f"s{after}"):
+            removed.add(after)
+    return g
+
+
+@settings(max_examples=100, deadline=None)
 @given(graph_scenario())
 def test_edges_match_pairwise_predicate_and_rebuild(scenario):
-    specs, removed = scenario
+    specs, steps = scenario
     net = shared_link_net(n_pairs=4)
-    g = ConflictGraph()
-    for i, period, size, phases in specs:
-        s = mkstream(f"s{i}", period=period, size=size, src=f"a{i}", dst=f"z{i}")
-        route = through_route(net, i)
-        mp = max_phase(net, s, route)
-        for phi in dict.fromkeys(p % (mp + 1) for p in phases):
-            g.add_configuration(build_config(net, s, 0, route, phi))
-    for i in removed:
-        g.remove_stream(f"s{i}")
+    g = build_scenario_graph(net, specs, steps, read_each=False)
+
+    # when the queued vertices are joined does not change the graph
+    eager = build_scenario_graph(net, specs, steps, read_each=True)
+    for a, b in zip(g.csr(), eager.csr()):
+        assert np.array_equal(a, b)
 
     # incremental removal leaves exactly the graph a fresh build produces
     rebuilt = fresh_copy(g)
@@ -279,6 +310,29 @@ def test_edges_match_pairwise_predicate_and_rebuild(scenario):
     # as page_rank does
     if vids:
         assert g.page_rank() == reference_page_rank(g)
+
+
+@pytest.mark.parametrize("periods", [HARMONIC, NON_HARMONIC], ids=["harmonic", "non-harmonic"])
+@pytest.mark.parametrize("topology", ["waxman16", "grid3x3"])
+@pytest.mark.parametrize("seed", range(len(STRATEGIES)))
+def test_join_matches_linear_scan_oracle(topology, periods, seed):
+    """The configurations one expansion adds give the same CSR and
+    bit-identical page-rank whether they are joined by the indexed pass or
+    by the oracle's per-vertex linear scan. Each seed uses another budget
+    strategy; the two-step ones read the edges halfway through."""
+    net = gen_waxman(16) if topology == "waxman16" else gen_grid(3, 3)
+    streams = gen_streams(net, 40, SIZES, periods, seed=seed)
+    routes = {s.id: candidate_routes(net, s.src, s.dst, 2) for s in streams}
+    params = ExpansionParams(cps=20, strategy=STRATEGIES[seed], rng_seed=seed)
+    g = ConflictGraph()
+    expand(g, StreamBatch(0, add=streams), params, net, routes, streams, Random(seed))
+    oracle = LinearScanGraph()
+    for v in range(g.slot_count):
+        oracle.add_configuration(g.config(v))
+    for a, b in zip(g.csr(), oracle.csr()):
+        assert np.array_equal(a, b)
+    assert g.edge_count > 0
+    assert g.page_rank() == oracle.page_rank()
 
 
 def reference_page_rank(g: ConflictGraph) -> dict[int, float]:

@@ -346,6 +346,25 @@ def test_cli_config_errors(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
 
 
+def test_cli_run_refuses_periods_of_2_pow_31_and_more(tmp_path, capsys):
+    # the lcm of these periods wraps int64 in the conflict test
+    bad = write_cfg(tmp_path, periods=[3500000017, 3500000011])
+    assert main(["run", "--config", bad]) == 2
+    err = capsys.readouterr().err
+    assert "2**31" in err and len(err.strip().splitlines()) == 1
+    with pytest.raises(ConfigError):
+        ExperimentConfig(topology={"kind": "ring", "n": 4}, periods=[250, 2**31])
+
+
+def test_cli_validate_refuses_a_period_of_2_pow_31(tmp_path, capsys):
+    out, doc = run_and_load_plan(tmp_path, "period")
+    doc["streams"][sorted(doc["streams"])[0]]["period"] = 2**31
+    (out / "plan.json").write_text(json.dumps(doc))
+    assert main(["validate", str(out / "plan.json"), str(out / "topology.json")]) == 2
+    err = capsys.readouterr().err
+    assert "2**31" in err and len(err.strip().splitlines()) == 1
+
+
 def test_cli_overrides(tmp_path):
     cfgp = write_cfg(tmp_path, iterations=0, initial_streams=6)
     out = tmp_path / "o4"

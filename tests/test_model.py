@@ -75,6 +75,15 @@ def test_stream_deadline_equals_period():
         Stream("s", "a", "b", 100, 0)
 
 
+def test_stream_period_stays_below_2_pow_31():
+    # two frames on [0, 10) with these periods overlap at tick 0, but their
+    # lcm wraps int64, so the conflict test would miss it: they are refused
+    for period in (2**31, 3500000017, 3500000011):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            Stream("s", "a", "b", period, 500)
+    assert Stream("s", "a", "b", 2**31 - 1, 500).period == 2**31 - 1
+
+
 def test_batch_check_rules():
     s = Stream("s1", "a", "b", 100, 500)
     StreamBatch(0, add=[s]).check(set())
