@@ -32,10 +32,7 @@ EXIT_INVALID_PLAN = 3
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.load(args.config)
-    else:
-        raise ConfigError("--config is required")
+    cfg = ExperimentConfig.load(args.config)
     for name in ("seed", "strategy", "scheme", "cps", "alpha", "out"):
         val = getattr(args, name, None)
         if val is not None:

@@ -9,7 +9,7 @@ one color.
 Insertion only queues a vertex. `join_queued` joins every queued vertex
 against the stored intervals, and against the other queued vertices, in one
 chunked numpy pass. `expand` calls it; otherwise the first read of the edges
-or removal of a stream does.
+does.
 
 The occupancy intervals are stored as flat columns sorted by (link, period,
 start); the rows of one link and period form a class. Two intervals conflict
@@ -20,16 +20,19 @@ and `searchsorted` finds each window. When the windows touch, or outnumber
 the class's rows or `MAX_WINDOWS`, the query scans one window that spans
 them all instead. `periodic_overlap` is the exact filter on every candidate.
 
-Vertex ids are never reused; a removed vertex leaves an empty id slot. The
-live edges are one pair of int64 arrays, (earlier vid, later vid), ordered
-by the later vid and then the earlier one; a join appends its edges in that
-order. Removals are flushed lazily by one mask over the store and the pair.
-The CSR adjacency is a pair of arrays, (indptr, indices), built from the edge
-pair; the degrees and every metric are derived from it.
+A vertex is a row of integer columns: color code, route index and phase.
+Each live (stream, route index) keeps one route and phase-0 schedule, from
+which `config` builds a `Configuration`. The edges are one pair of int64
+arrays, (earlier vid, later vid), ordered by the later vid and then the
+earlier one; a join appends its edges in that order. Removing streams
+flushes their rows and compacts the other ids, in order, by one cumsum remap
+of the columns, the store and the pair: a vid stays valid until the next
+removal. The CSR adjacency (indptr, indices) is built from the pair.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,6 +60,8 @@ _COLUMNS = {
     "link": np.int32, "period": np.int32, "start": np.int64, "end": np.int64,
     "vid": np.int32, "color": np.int32,
 }
+#: columns of a vertex: its stream's color code, its route index and phase
+_VERTEX_COLUMNS = {"color": np.int32, "route": np.int32, "phase": np.int64}
 
 
 class DuplicateConfiguration(Exception):
@@ -175,86 +180,108 @@ class _Classes:
 
 class ConflictGraph:
     def __init__(self):
-        self._configs: list[Configuration | None] = []  # by vid, None once removed
-        self._color_vids: dict[str, list[int]] = {}
-        self._key2vid: dict[tuple[str, int, int], int] = {}
-        self._color_code: dict[str, int] = {}
+        self._color_code: dict[str, int] = {}  # live stream id -> color code
+        # live color code -> (stream, {route index: (route, schedule, phases)})
+        self._colors: dict[int, tuple[Stream, dict]] = {}
         self._link_code: dict[tuple[str, str], int] = {}
+        # one row per vertex; the arrays grow by doubling, so only the first
+        # _n rows are vertices
+        self._vert = {name: np.empty(0, dtype=t) for name, t in _VERTEX_COLUMNS.items()}
+        self._n = 0
+        self._added = 0
         # the intervals of the joined vertices, sorted by (link, period, start)
         self._store = {name: np.empty(0, dtype=t) for name, t in _COLUMNS.items()}
         self._joined = 0  # vids from here on are queued
         # live edges as (earlier vid, later vid), ordered by the later vid
         self._lo = np.empty(0, dtype=np.int64)
         self._hi = np.empty(0, dtype=np.int64)
-        self._pending_removal = False
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def vertex_count(self) -> int:
-        return len(self._key2vid)
+        return self._n
 
     @property
     def slot_count(self) -> int:
-        """Number of vertex id slots ever allocated, including removed ones."""
-        return len(self._configs)
+        """Number of vertices ever added, removed ones included. Ids are
+        compacted, so this is not the range of the vids."""
+        return self._added
 
     @property
     def edge_count(self) -> int:
-        return len(self._edge_pair()[0])
+        self.join_queued()
+        return len(self._lo)
 
     def colors(self) -> set[str]:
-        return set(self._color_vids)
+        return set(self._color_code)
+
+    def _column(self, name: str) -> np.ndarray:
+        return self._vert[name][: self._n]
 
     def vids_of(self, stream_id: str) -> list[int]:
-        return list(self._color_vids.get(stream_id, ()))
+        code = self._color_code.get(stream_id, -1)
+        return np.flatnonzero(self._column("color") == code).tolist()
+
+    def columns(self, stream_ids: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per vertex: the position of its stream in `stream_ids` (-1 when
+        it is not listed), its route index and its phase."""
+        where = {self._color_code.get(sid): i for i, sid in enumerate(stream_ids)}
+        codes = sorted(self._colors)
+        index = np.array([where.get(c, -1) for c in codes], dtype=np.int64)
+        at = np.searchsorted(codes, self._column("color"))
+        return index[at], self._column("route"), self._column("phase")
 
     def config(self, vid: int) -> Configuration:
-        cfg = self._configs[vid]
-        if cfg is None:
-            raise KeyError(f"vertex {vid} was removed")
-        return cfg
-
-    def find_vid(self, stream_id: str, route_index: int, phase: int) -> int | None:
-        return self._key2vid.get((stream_id, route_index, phase))
+        color, route_index, phase = (int(self._column(name)[vid]) for name in _VERTEX_COLUMNS)
+        stream, routes = self._colors[color]
+        route, schedule, _ = routes[route_index]
+        return Configuration(stream, route_index, route, phase, schedule)
 
     # -- mutation ----------------------------------------------------------
 
     def add_configuration(self, cfg: Configuration) -> int:
         """Give the configuration a vid and queue it for the next join."""
-        if cfg.key in self._key2vid:
-            raise DuplicateConfiguration(f"{cfg.key} already present")
         sid = cfg.stream.id
-        self._color_code.setdefault(sid, len(self._color_code))
-        vid = len(self._configs)
-        self._configs.append(cfg)
-        self._color_vids.setdefault(sid, []).append(vid)
-        self._key2vid[cfg.key] = vid
+        # a new stream's code is the number of vertices added before it
+        code = self._color_code.setdefault(sid, self._added)
+        if code == self._added:
+            self._colors[code] = (cfg.stream, {})
+        routes = self._colors[code][1]
+        phases = routes.setdefault(cfg.route_index, (cfg.route, cfg.schedule, set()))[2]
+        if cfg.phase in phases:
+            raise DuplicateConfiguration(f"{cfg.key} already present")
+        phases.add(cfg.phase)
+        vid = self._n
+        if vid == len(self._vert["color"]):
+            self._vert = {name: np.resize(col, 2 * vid + 64) for name, col in self._vert.items()}
+        for name, value in zip(_VERTEX_COLUMNS, (code, cfg.route_index, cfg.phase)):
+            self._vert[name][vid] = value
+        self._n += 1
+        self._added += 1
         self._csr = None
         return vid
 
-    def remove_stream(self, stream_id: str) -> int:
-        if not self._color_vids.get(stream_id):
+    def remove_streams(self, stream_ids: Iterable[str]) -> int:
+        """Drop the vertices of the given streams; returns how many."""
+        codes = [self._color_code.pop(sid) for sid in stream_ids if sid in self._color_code]
+        if not codes:
             return 0
-        self.join_queued()  # the join reads the configurations removal drops
-        vids = self._color_vids.pop(stream_id)
-        for v in vids:
-            self._key2vid.pop(self._configs[v].key)
-            self._configs[v] = None
-        self._pending_removal = True
-        self._csr = None
-        return len(vids)
+        for code in codes:
+            del self._colors[code]
+        n = self._n
+        self._flush_removals()
+        return n - self._n
 
     def join_queued(self) -> None:
-        """Append the edges of every queued vertex, after flushing removals.
-        The queued intervals join the store first, so they meet each other
-        too; the pass runs in chunks of whole vertices."""
+        """Append the edges of every queued vertex. The queued intervals
+        join the store first, so they meet each other too; the pass runs in
+        chunks of whole vertices."""
         first = self._joined
-        if first == len(self._configs):
+        if first == self._n:
             return
-        self._flush_removals()
-        self._joined = len(self._configs)
+        self._joined = self._n
         new = self._queued_rows(first)
         store = {name: np.concatenate([col, new[name]])
                  for name, col in self._store.items()}
@@ -264,11 +291,10 @@ class ConflictGraph:
         classes = _Classes(store, len(self._link_code))
         vid = new["vid"]
         cuts = np.unique(np.searchsorted(vid, vid[::JOIN_CHUNK]))
-        codes = [
+        codes = np.concatenate([
             classes.conflicts({name: col[a:b] for name, col in new.items()}, store)
             for a, b in zip(cuts, [*cuts[1:], len(vid)])
-        ]
-        codes = np.concatenate(codes)
+        ])
         self._lo = np.concatenate([self._lo, codes & 0xFFFFFFFF])
         self._hi = np.concatenate([self._hi, codes >> 32])
         self._csr = None
@@ -276,15 +302,12 @@ class ConflictGraph:
     def _queued_rows(self, first: int) -> dict[str, np.ndarray]:
         """Store rows of the vertices from `first` on, in vid order: the
         entries of each one's shared phase-0 schedule, shifted by its phase."""
-        queued = self._configs[first:]
-        scheds: list[OccupancySchedule] = []
-        index: dict[int, int] = {}  # id of a schedule -> its place in scheds
-        which = []
-        for c in queued:
-            i = index.setdefault(id(c.schedule), len(scheds))
-            if i == len(scheds):
-                scheds.append(c.schedule)
-            which.append(i)
+        color = self._column("color")[first:].astype(np.int64)
+        phase = self._column("phase")[first:]
+        # the queued vertices' (color, route index) pairs, one schedule each
+        pairs, which = np.unique(color << 32 | self._column("route")[first:], return_inverse=True)
+        owners = [self._colors[p >> 32] for p in pairs.tolist()]
+        scheds = [routes[p & 0xFFFFFFFF][1] for (_, routes), p in zip(owners, pairs.tolist())]
         code = self._link_code
         entries = [e for s in scheds for e in s.entries]
         link = np.array(
@@ -293,66 +316,51 @@ class ConflictGraph:
         start = np.array([s for _, s, _ in entries], dtype=np.int64)
         end = np.array([e for _, _, e in entries], dtype=np.int64)
         hops = np.array([len(s.entries) for s in scheds], dtype=np.int64)
-        which = np.array(which, dtype=np.int64)
+        period = np.array([stream.period for stream, _ in owners], dtype=np.int64)[which]
         vert, hop = _ragged(hops[which])
         entry = (np.cumsum(hops) - hops)[which][vert] + hop
-        n = len(queued)
-        phase = np.fromiter((c.phase for c in queued), np.int64, n)[vert]
-        period = np.fromiter((c.stream.period for c in queued), np.int64, n)
-        color = np.fromiter((self._color_code[c.stream.id] for c in queued), np.int64, n)
         rows = {
-            "link": link[entry], "period": period[vert], "start": start[entry] + phase,
-            "end": end[entry] + phase, "vid": first + vert, "color": color[vert],
+            "link": link[entry], "period": period[vert], "start": start[entry] + phase[vert],
+            "end": end[entry] + phase[vert], "vid": first + vert, "color": color[vert],
         }
         return {name: rows[name].astype(t) for name, t in _COLUMNS.items()}
 
-    def _alive_mask(self) -> np.ndarray:
-        alive = np.zeros(len(self._configs), dtype=bool)
-        alive[list(self._key2vid.values())] = True
-        return alive
-
-    def _edge_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """The live edges: queued vertices joined, removals flushed."""
-        self.join_queued()
-        self._flush_removals()
-        return self._lo, self._hi
-
     def _flush_removals(self) -> None:
-        """Purge dead vertices from the store and the edge list; done once
-        per removal batch, on the next join or read."""
-        if not self._pending_removal:
-            return
-        alive = self._alive_mask()
-        keep = alive[self._store["vid"]]
-        self._store = {name: col[keep] for name, col in self._store.items()}
-        keep = alive[self._lo] & alive[self._hi]
-        self._lo, self._hi = self._lo[keep], self._hi[keep]
-        self._pending_removal = False
+        """Drop the rows of removed streams from the vertex columns, the
+        store and the edge pair, and renumber the other vertices in order."""
+        keep = np.isin(self._column("color"), list(self._colors))
+        new_vid = np.cumsum(keep) - 1
+        self._vert = {name: self._column(name)[keep] for name in _VERTEX_COLUMNS}
+        self._joined = int(np.count_nonzero(keep[: self._joined]))
+        self._n = len(self._vert["color"])
+        rows = keep[self._store["vid"]]
+        self._store = {name: col[rows] for name, col in self._store.items()}
+        self._store["vid"] = new_vid[self._store["vid"]].astype(np.int32)
+        edges = keep[self._lo] & keep[self._hi]
+        self._lo, self._hi = new_vid[self._lo[edges]], new_vid[self._hi[edges]]
+        self._csr = None
 
     # -- derived structure and metrics -------------------------------------
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency as (indptr, indices) over all vid slots: the neighbours of
+        """Adjacency as (indptr, indices) over the vertices: the neighbours of
         v are indices[indptr[v]:indptr[v + 1]], in ascending order. The pair
         is ordered by the later vid and then the earlier one, so a stable sort
         by row lists each row's lower neighbours, then its higher ones."""
         if self._csr is None:  # a removal or insertion drops the cache
-            lo, hi = self._edge_pair()
+            self.join_queued()
+            lo, hi = self._lo, self._hi
             rows = np.concatenate([hi, lo])
             indices = np.concatenate([lo, hi])[np.argsort(rows, kind="stable")]
-            counts = np.bincount(rows, minlength=len(self._configs))
+            counts = np.bincount(rows, minlength=self._n)
             self._csr = (np.concatenate([[0], np.cumsum(counts)]), indices)
         return self._csr
 
-    def _degrees(self) -> np.ndarray:
-        """Degree of every vid slot; 0 for removed ones."""
-        return np.diff(self.csr()[0])
-
     def avg_degree(self, stream_id: str) -> Fraction:
-        vids = self._color_vids.get(stream_id)
+        vids = self.vids_of(stream_id)
         if not vids:
             raise NoVertices(f"stream {stream_id!r} has no vertices")
-        return Fraction(int(self._degrees()[vids].sum()), len(vids))
+        return Fraction(int(np.diff(self.csr()[0])[vids].sum()), len(vids))
 
     def page_rank(self) -> dict[int, float]:
         """Power iteration treating each edge as two directed arcs; degree-0
@@ -362,26 +370,22 @@ class ConflictGraph:
         if n == 0:
             return {}
         indptr, indices = self.csr()
-        slots = len(indptr) - 1
-        alive = self._alive_mask()
-        live = np.flatnonzero(alive)
-        deg = self._degrees()
-        dangling = alive & (deg == 0)
+        deg = np.diff(indptr)
+        dangling = deg == 0
         safe = np.where(deg > 0, deg, 1.0)
-        p = np.where(alive, 1.0 / n, 0.0)
+        p = np.full(n, 1.0 / n)
         # bincount adds each row's terms left to right in neighbour order, as a
         # sequential CSR matvec does; another order can change the last bits
-        rows = np.repeat(np.arange(slots), deg)
+        rows = np.repeat(np.arange(n), deg)
         for _ in range(PAGERANK_ITERATIONS):
-            spread = np.bincount(rows, (p / safe)[indices], slots)
+            spread = np.bincount(rows, (p / safe)[indices], n)
             mass = p[dangling].sum()
             p_new = (1.0 - PAGERANK_DAMPING) / n + PAGERANK_DAMPING * (spread + mass / n)
-            p_new = np.where(alive, p_new, 0.0)
             p = p_new / p_new.sum()
-        return dict(zip(live.tolist(), p[live].tolist()))
+        return dict(enumerate(p.tolist()))
 
     def stream_rank(self, pr: dict[int, float], stream_id: str) -> float:
-        vids = self._color_vids.get(stream_id)
+        vids = self.vids_of(stream_id)
         if not vids:
             raise NoVertices(f"stream {stream_id!r} has no vertices")
         return sum(pr[v] for v in vids)

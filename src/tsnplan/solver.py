@@ -68,22 +68,20 @@ def gfh_solve(
     colors = list(dict.fromkeys(required + optional))
     n_colors = len(colors)
     cindex = {c: i for i, c in enumerate(colors)}
-    n_slots = g.slot_count
     indptr, indices = g.csr()
-    state = np.zeros(n_slots, dtype=np.int8)
-
-    color_vids = [np.array(g.vids_of(c), dtype=np.int64) for c in colors]
-    col_of = np.full(n_slots, -1, dtype=np.int64)
-    for i, vids in enumerate(color_vids):
-        col_of[vids] = i
-    feas = np.array([len(v) for v in color_vids], dtype=np.int64)
+    col_of, route, phase = g.columns(colors)
+    route, phase = route.tolist(), phase.tolist()  # plain ints for the vertex keys
+    state = np.zeros(len(col_of), dtype=np.int8)
+    # each color's vids, ascending: a stable sort by color
+    order = np.argsort(col_of, kind="stable")
+    bounds = np.searchsorted(col_of[order], np.arange(n_colors + 1))
+    color_vids = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    feas = np.diff(bounds)
     total = feas.copy()
     rank = np.empty(n_colors, dtype=np.int64)  # tie-break by stream id
     for r, c in enumerate(sorted(colors)):
         rank[cindex[c]] = r
-    required_mask = np.zeros(n_colors, dtype=bool)
-    for c in required:
-        required_mask[cindex[c]] = True
+    required_mask = np.isin(colors, required)
     resolved = np.zeros(n_colors, dtype=bool)
     # lexicographic (feas, total, rank) packed into one sortable integer
     m2 = n_colors + 1
@@ -128,13 +126,12 @@ def gfh_solve(
         cands = cands[state[cands] == _FREE]
         best_vid = None
         best_key = None
-        for v in cands:
+        for v in cands.tolist():
             nb = indices[indptr[v] : indptr[v + 1]]
             feasdeg = int(np.count_nonzero(state[nb] == _FREE))
-            cfg = g.config(int(v))
-            vkey = (feasdeg, cfg.phase, cfg.route_index)
+            vkey = (feasdeg, phase[v], route[v])
             if best_key is None or vkey < best_key:
-                best_key, best_vid = vkey, int(v)
+                best_key, best_vid = vkey, v
         select(ci, best_vid)
         n_resolved += 1
 
@@ -148,12 +145,17 @@ def defensive_plan(
 ) -> tuple[dict[str, int], set[str]]:
     """Keep old streams on their current configuration, place new streams
     around them."""
+    col_of, route, phase = g.columns(list(survivors))
+    # the last entry, -1, is what the vertices of other streams look up
+    want_route = np.array([cfg.route_index for cfg in survivors.values()] + [-1])
+    want_phase = np.array([cfg.phase for cfg in survivors.values()] + [-1])
+    hit = np.flatnonzero((route == want_route[col_of]) & (phase == want_phase[col_of]))
+    vid_of = dict(zip(col_of[hit].tolist(), hit.tolist()))
     pinned = []
-    for sid, cfg in survivors.items():
-        vid = g.find_vid(sid, cfg.route_index, cfg.phase)
-        if vid is None:
+    for i, sid in enumerate(survivors):
+        if i not in vid_of:
             raise RuntimeError(f"pinned configuration of {sid!r} missing from graph")
-        pinned.append((sid, vid))
+        pinned.append((sid, vid_of[i]))
     return gfh_solve(g, required=list(survivors), optional=new_ids, pinned=pinned)
 
 
@@ -275,8 +277,7 @@ class Planner:
             batch.iteration, [s for s in batch.add if s.id in routes], batch.delete
         )
 
-        for sid in batch.delete:
-            g.remove_stream(sid)
+        g.remove_streams(batch.delete)
         deleted = set(batch.delete)
         survivors = {
             sid: state.plan.assignments[sid]
@@ -298,8 +299,7 @@ class Planner:
         assignments = {sid: g.config(vid) for sid, vid in selection.items()}
         solving_s = time.perf_counter() - t_solve
 
-        for sid in rejected:
-            g.remove_stream(sid)
+        g.remove_streams(rejected)
 
         state.admitted = {
             **{sid: state.admitted[sid] for sid in survivors},

@@ -54,9 +54,7 @@ def link_occupancy(
         arrival = end + link.propagation_delay
         if i < last:
             arrival += net.node(link.dst).processing_delay
-            t = arrival
-        else:
-            t = arrival
+        t = arrival
     return OccupancySchedule(tuple(entries), t)
 
 

@@ -1,18 +1,17 @@
 """Reference insertion for the conflict-graph tests.
 
-`LinearScanGraph` joins each queued vertex on its own, in vid order, by
+`linear_scan_csr` joins each vertex of a graph on its own, in vid order, by
 scanning every interval stored on each of its links with
 `periodic_overlap`. That is the per-vertex, per-link scan the graph used
 before the indexed join: slow, but obviously right, which makes it the
-oracle `ConflictGraph.join_queued` is checked against. It only inserts:
-its buckets keep the intervals of removed streams.
+oracle `ConflictGraph.join_queued` is checked against. It reads the graph
+only through `vertex_count` and `config`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from tsnplan.conflict_graph import ConflictGraph
 from tsnplan.timing import periodic_overlap
 
 
@@ -55,37 +54,31 @@ class _Bucket:
         return self.vid[:n][hit & (self.color[:n] != color)]
 
 
-class LinearScanGraph(ConflictGraph):
-    def __init__(self):
-        super().__init__()
-        self._buckets: dict[tuple[str, str], _Bucket] = {}
-
-    def join_queued(self) -> None:
-        pending = []
-        for vid in range(self._joined, len(self._configs)):
-            cfg = self._configs[vid]
-            code = self._color_code[cfg.stream.id]
-            period, phase = cfg.stream.period, cfg.phase
-            hits = []
-            for link_key, start, end in cfg.schedule.entries:
-                start, end = start + phase, end + phase
-                bucket = self._buckets.get(link_key)
-                if bucket is None:
-                    bucket = self._buckets[link_key] = _Bucket()
-                else:
-                    hits.append(bucket.query(start, end, period, code))
-                # the query skips this color: no self-hit on a later link
-                bucket.append(vid, start, end, period, code)
-            if hits:
-                nbrs = np.unique(np.concatenate(hits))
+def linear_scan_csr(g) -> tuple[np.ndarray, np.ndarray]:
+    """The graph's adjacency as (indptr, indices), each row ascending, from
+    a per-vertex linear scan of its configurations' intervals."""
+    buckets: dict[tuple[str, str], _Bucket] = {}
+    color_code: dict[str, int] = {}
+    rows: list[list[int]] = []
+    for vid in range(g.vertex_count):
+        cfg = g.config(vid)
+        code = color_code.setdefault(cfg.stream.id, len(color_code))
+        period, phase = cfg.stream.period, cfg.phase
+        hits = []
+        for link_key, start, end in cfg.schedule.entries:
+            start, end = start + phase, end + phase
+            bucket = buckets.get(link_key)
+            if bucket is None:
+                bucket = buckets[link_key] = _Bucket()
             else:
-                nbrs = np.empty(0, dtype=np.int64)
-            pending.append(nbrs)
-        if pending:
-            first = self._joined
-            counts = [len(nbrs) for nbrs in pending]
-            later = np.repeat(np.arange(first, len(self._configs)), counts)
-            self._lo = np.concatenate([self._lo, *pending])
-            self._hi = np.concatenate([self._hi, later])
-            self._joined = len(self._configs)
-            self._csr = None
+                hits.append(bucket.query(start, end, period, code))
+            # the query skips this color: no self-hit on a later link
+            bucket.append(vid, start, end, period, code)
+        lower = np.unique(np.concatenate(hits)).tolist() if hits else []
+        # a row gets its lower neighbours now and its higher ones, in
+        # ascending order, as they are scanned
+        rows.append(lower)
+        for u in lower:
+            rows[u].append(vid)
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return indptr, np.array([u for r in rows for u in r], dtype=np.int64)

@@ -29,7 +29,7 @@ from conftest import (
     shared_link_net,
     through_route,
 )
-from insertion_oracle import LinearScanGraph
+from insertion_oracle import linear_scan_csr
 from test_acceptance import HARMONIC, NON_HARMONIC, SIZES
 
 # On shared_link_net (processing 0, propagation 1, rate 1000) a stream of
@@ -107,19 +107,19 @@ def test_remove_only_color(shared_net):
     g = ConflictGraph()
     g.add_configuration(cfg(shared_net, "s0", 0, 0))
     g.add_configuration(cfg(shared_net, "s0", 0, 50))
-    assert g.remove_stream("s0") == 2
+    assert g.remove_streams(["s0"]) == 2
     assert g.vertex_count == 0 and g.edge_count == 0 and g.colors() == set()
 
 
 def test_remove_absent_color(shared_net):
-    assert ConflictGraph().remove_stream("ghost") == 0
+    assert ConflictGraph().remove_streams(["ghost"]) == 0
 
 
 def test_remove_one_corner_of_triangle(shared_net):
     g = ConflictGraph()
     for i in range(3):
         g.add_configuration(cfg(shared_net, f"s{i}", i, i))
-    assert g.remove_stream("s1") == 1
+    assert g.remove_streams(["s1"]) == 1
     assert g.vertex_count == 2 and g.edge_count == 1
     assert edge_keys(g) == edge_keys(fresh_copy(g))
 
@@ -254,19 +254,20 @@ def build_scenario_graph(net, specs, steps, read_each: bool) -> ConflictGraph:
     `read_each`, also read the edges after every insertion. A removed color
     gets no more configurations."""
     g = ConflictGraph()
-    removed = set()
+    removed, added = set(), set()
     for (c, phi), after in steps:
         i, j, period, size, _ = specs[c]
         s = mkstream(f"s{c}", period=period, size=size, src=f"a{i}", dst=f"z{j}")
         route = through_route(net, i, j)
         phi %= max_phase(net, s, route) + 1
-        if c not in removed and g.find_vid(s.id, 0, phi) is None:
+        if c not in removed and (c, phi) not in added:
+            added.add((c, phi))
             g.add_configuration(build_config(net, s, 0, route, phi))
             if read_each:
                 g.csr()
         if after == "read":
             g.csr()
-        elif after is not None and g.remove_stream(f"s{after}"):
+        elif after is not None and g.remove_streams([f"s{after}"]):
             removed.add(after)
     return g
 
@@ -309,7 +310,7 @@ def test_edges_match_pairwise_predicate_and_rebuild(scenario):
     # neighbours in ascending order; the two whole-vector sums use np.sum,
     # as page_rank does
     if vids:
-        assert g.page_rank() == reference_page_rank(g)
+        assert g.page_rank() == reference_page_rank(*g.csr())
 
 
 @pytest.mark.parametrize("periods", [HARMONIC, NON_HARMONIC], ids=["harmonic", "non-harmonic"])
@@ -326,32 +327,28 @@ def test_join_matches_linear_scan_oracle(topology, periods, seed):
     params = ExpansionParams(cps=20, strategy=STRATEGIES[seed], rng_seed=seed)
     g = ConflictGraph()
     expand(g, StreamBatch(0, add=streams), params, net, routes, streams, Random(seed))
-    oracle = LinearScanGraph()
-    for v in range(g.slot_count):
-        oracle.add_configuration(g.config(v))
-    for a, b in zip(g.csr(), oracle.csr()):
+    oracle = linear_scan_csr(g)
+    for a, b in zip(g.csr(), oracle):
         assert np.array_equal(a, b)
     assert g.edge_count > 0
-    assert g.page_rank() == oracle.page_rank()
+    assert g.page_rank() == reference_page_rank(*oracle)
 
 
-def reference_page_rank(g: ConflictGraph) -> dict[int, float]:
-    slots = len(g.csr()[0]) - 1
-    vids = live_vids(g)
-    n = len(vids)
-    rows = [neighbors(g, v) for v in range(slots)]
+def reference_page_rank(indptr, indices) -> dict[int, float]:
+    n = len(indptr) - 1
+    rows = [indices[indptr[v] : indptr[v + 1]].tolist() for v in range(n)]
     safe = [float(len(r)) if r else 1.0 for r in rows]
-    p = [1.0 / n if v in vids else 0.0 for v in range(slots)]
+    p = [1.0 / n] * n
     for _ in range(PAGERANK_ITERATIONS):
-        mass = float(np.sum([p[v] for v in vids if not rows[v]]))
-        p_new = [0.0] * slots
-        for v in vids:
+        mass = float(np.sum([p[v] for v in range(n) if not rows[v]]))
+        p_new = []
+        for v in range(n):
             spread = 0.0
             for u in rows[v]:
                 spread += p[u] / safe[u]
-            p_new[v] = (1.0 - PAGERANK_DAMPING) / n + PAGERANK_DAMPING * (
+            p_new.append((1.0 - PAGERANK_DAMPING) / n + PAGERANK_DAMPING * (
                 spread + mass / n
-            )
+            ))
         total = float(np.sum(p_new))
         p = [x / total for x in p_new]
-    return {v: p[v] for v in vids}
+    return dict(enumerate(p))

@@ -228,6 +228,20 @@ def test_run_experiment_determinism():
     assert strip == [(m.iteration, m.rejected, m.vertices, m.edges) for m in m2]
 
 
+def test_long_dynamic_run_keeps_graph_at_live_size():
+    """Removed vertices leave no rows behind: after 40 batches of +3/-3 the
+    CSR has one row per live vertex, not one per vertex ever added."""
+    cfg = ExperimentConfig(
+        topology={"kind": "grid", "rows": 3, "cols": 3}, initial_streams=30,
+        iterations=40, add_per_iteration=3, del_per_iteration=3, cps=8,
+        strategy="page-rank", seed=0,
+    )
+    _, planner = run_experiment(cfg)
+    g = planner.graph
+    assert g.slot_count > 4 * g.vertex_count
+    assert len(g.csr()[0]) - 1 == g.vertex_count
+
+
 # -- CLI -----------------------------------------------------------------
 
 

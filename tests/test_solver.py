@@ -1,7 +1,6 @@
 import itertools
 import time
 from random import Random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ class FakeGraph:
     protocol: arbitrary adjacency, colors, and per-vertex tie-break data."""
 
     def __init__(self, n, edges, color_of):
-        self.slot_count = n
+        self.n = n
         self._color_of = color_of
         rows = [sorted({u for e in edges if v in e for u in e if u != v})
                 for v in range(n)]
@@ -43,12 +42,14 @@ class FakeGraph:
     def csr(self):
         return self._csr
 
-    def vids_of(self, color):
-        return [v for v in range(self.slot_count) if self._color_of[v] == color]
-
-    def config(self, vid):
+    def columns(self, colors):
+        where = {c: i for i, c in enumerate(colors)}
+        index = np.array([where.get(self._color_of[v], -1) for v in range(self.n)])
         # unique phases make the vertex tie-break deterministic and visible
-        return SimpleNamespace(phase=vid, route_index=0)
+        return index, np.zeros(self.n, dtype=np.int64), np.arange(self.n)
+
+    def vids_of(self, color):
+        return [v for v in range(self.n) if self._color_of[v] == color]
 
 
 def exhaustive_best(fake: FakeGraph, colors, required):
@@ -56,7 +57,7 @@ def exhaustive_best(fake: FakeGraph, colors, required):
     that covers all required colors; None if required colors cannot all be
     covered."""
     per_color = [fake.vids_of(c) for c in colors]
-    adj = {v: set(neighbors(fake, v)) for v in range(fake.slot_count)}
+    adj = {v: set(neighbors(fake, v)) for v in range(fake.n)}
     best = None
     req = [c in required for c in colors]
     for picks in itertools.product(*[vids + [None] for vids in per_color]):
@@ -191,6 +192,21 @@ def test_offensive_equals_defensive_when_nothing_moves():
     o = offensive_plan(g, {"old": old1}, ["new"])
     assert d[1] == o[1] == set()
     assert choose_plan(d, o) == d
+
+
+def test_defensive_plan_pins_each_survivor_to_its_own_vertex():
+    # "b" shares route index and phase 0 with "a", which must not pin b to
+    # a's vertex; a survivor whose configuration is gone cannot be pinned
+    net = shared_link_net()
+    g = ConflictGraph()
+    for c in (cfg(net, "a", 0, 0), cfg(net, "a", 0, 40), cfg(net, "b", 1, 70),
+              cfg(net, "b", 1, 0)):
+        g.add_configuration(c)
+    selection, rejected = defensive_plan(
+        g, {"b": cfg(net, "b", 1, 0), "a": cfg(net, "a", 0, 40)}, [])
+    assert selection == {"b": 3, "a": 1} and rejected == set()
+    with pytest.raises(RuntimeError, match="'a'"):
+        defensive_plan(g, {"a": cfg(net, "a", 0, 20)}, [])
 
 
 def test_choose_plan_rules():
