@@ -267,7 +267,8 @@ def build_scenario(cfg: ExperimentConfig, net: Network) -> list[StreamBatch]:
             start_index=next_id,
         )
         next_id += cfg.add_per_iteration
-        present = [p for p in present if p not in set(dels)] + [s.id for s in adds]
+        gone = set(dels)
+        present = [p for p in present if p not in gone] + [s.id for s in adds]
         batches.append(StreamBatch(i, add=adds, delete=dels))
     return batches
 

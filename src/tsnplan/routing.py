@@ -8,14 +8,15 @@ ones without forbidding overlap outright.
 Every search returns the min-cost route whose node sequence is
 lexicographically smallest; interior nodes are bridges only. It runs on
 integer node ids numbered in sorted node-name order, so comparing id
-sequences compares name sequences, and works in two passes:
+sequences compares name sequences, and works in two steps:
 
-1. Reverse distance: the cost from each node to the destination, found by
-   searching backwards over incoming links from the destination. Only the
-   destination and bridges are expanded, so no other end device is ever
-   interior. Without penalties this is a breadth-first search, otherwise a
-   Dijkstra over (cost, node id) heap entries. It stops once the source's
-   distance is final.
+1. Reverse distance: the cost from each node to the destination. One
+   vectorised min-plus relaxation over the bridges' out-links lowers each
+   bridge's distance to the least link cost plus successor distance, and
+   repeats until no distance falls, so every bridge distance is exact. The
+   destination stays at 0 and no other end device gets a distance, so none
+   is ever interior. The source's distance is the least over its own
+   out-links.
 2. Forward walk: from the source, repeatedly take the out-link to the
    smallest node id that is tight, i.e. whose distance plus the link's cost
    equals the current node's distance.
@@ -24,22 +25,20 @@ The walk yields the smallest sequence because every suffix of a min-cost
 route is a min-cost route from its first node, and with positive link
 costs any min-cost route is simple: picking the smallest tight successor
 at each step decides the first differing position of any two min-cost
-routes in favour of the walk. Nodes the reverse search left unsettled are
-at least as far as the source, so they are never tight on the walk.
+routes in favour of the walk. A node on no min-cost route is never tight.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import BRIDGE, Link, Network
 
 PENALTY_WEIGHT = 10
 
-_FAR = 1 << 62  # distance of a node the reverse search has not reached
+_FAR = 1 << 62  # distance of a node with no route to the destination
 
 
 class Unreachable(Exception):
@@ -80,28 +79,36 @@ class _Index:
     """Integer view of a network's topology.
 
     Node ids follow sorted node names. `out_dst[out_ptr[u]:out_ptr[u + 1]]`
-    are the ends of u's out-links in ascending order and
-    `in_src[in_ptr[v]:in_ptr[v + 1]]` the starts of v's in-links. Link u -> v
-    is known by its code u * n + v, n the node count. Links to or from
+    are the ends of u's out-links in ascending order. Link u -> v is known
+    by its code u * n + v, n the node count. The bridges' out-links are also
+    kept as flat numpy columns in ascending code order: `dst` and `code`,
+    with `starts[i]` the first link of bridge `rows[i]`. Links to or from
     unknown nodes are left out.
     """
 
     def __init__(self, net: Network):
         self.names = sorted(net.nodes)
         self.id = {name: i for i, name in enumerate(self.names)}
-        self.relay = [net.nodes[name].kind == BRIDGE for name in self.names]
+        n = len(self.names)
         self.out_ptr = [0]
         self.out_dst: list[int] = []
-        incoming: list[list[int]] = [[] for _ in self.names]
+        rows, dst, code = [], [], []
         for u, name in enumerate(self.names):
             for link in net.out_links(name):  # sorted by destination name
                 v = self.id.get(link.dst)
                 if v is not None:
                     self.out_dst.append(v)
-                    incoming[v].append(u)
-            self.out_ptr.append(len(self.out_dst))
-        self.in_ptr = list(itertools.accumulate(map(len, incoming), initial=0))
-        self.in_src = [u for srcs in incoming for u in srcs]
+            a, b = self.out_ptr[-1], len(self.out_dst)
+            self.out_ptr.append(b)
+            if net.nodes[name].kind == BRIDGE and b > a:
+                rows.append(u)
+                dst.extend(self.out_dst[a:b])
+                code.extend(u * n + v for v in self.out_dst[a:b])
+        self.rows = np.array(rows, dtype=np.intp)
+        self.dst = np.array(dst, dtype=np.intp)
+        self.code = np.array(code, dtype=np.int64)
+        counts = np.diff(np.array(self.out_ptr, dtype=np.intp))[self.rows]
+        self.starts = np.cumsum(counts) - counts
 
     def link_codes(self, path: tuple[int, ...]) -> list[int]:
         n = len(self.names)
@@ -120,45 +127,38 @@ def _search(ix: _Index, src: str, dst: str, penalized: set[int]) -> tuple[int, .
     s, d = ix.id.get(src), ix.id.get(dst)
     if s is None or d is None:
         raise Unreachable(f"no route from {src!r} to {dst!r}: unknown endpoint")
-    relay, in_ptr, in_src = ix.relay, ix.in_ptr, ix.in_src
-    n = len(relay)
-    dist = [_FAR] * n
+    n = len(ix.names)
+    w = np.ones(len(ix.code), dtype=np.int64)
+    if penalized and len(w):
+        pen = np.fromiter(penalized, dtype=np.int64, count=len(penalized))
+        at = np.minimum(np.searchsorted(ix.code, pen), len(w) - 1)
+        w[at[ix.code[at] == pen]] = PENALTY_WEIGHT
+    dist = np.full(n, _FAR, dtype=np.int64)
     dist[d] = 0
-    # besides dst, only bridges and the source get a distance, and the search
-    # ends before it would expand the source
-    if not penalized:
-        frontier = deque((d,))
-        while frontier and dist[s] == _FAR:
-            v = frontier.popleft()
-            nd = dist[v] + 1
-            for u in in_src[in_ptr[v] : in_ptr[v + 1]]:
-                if dist[u] == _FAR and (relay[u] or u == s):
-                    dist[u] = nd
-                    frontier.append(u)
-    else:
-        heap = [(0, d)]
-        while heap:
-            c, v = heapq.heappop(heap)
-            if v == s:
-                break
-            if c > dist[v]:
-                continue
-            for u in in_src[in_ptr[v] : in_ptr[v + 1]]:
-                if relay[u] or u == s:
-                    nc = c + (PENALTY_WEIGHT if (u * n + v) in penalized else 1)
-                    if nc < dist[u]:
-                        dist[u] = nc
-                        heapq.heappush(heap, (nc, u))
-    if dist[s] == _FAR:
-        raise Unreachable(f"no route from {src!r} to {dst!r}")
+    # every cost is below _FAR + PENALTY_WEIGHT < 2**63, so int64 is exact;
+    # best >= 1 keeps a bridge dst at 0
+    while True:
+        best = np.minimum.reduceat(w + dist[ix.dst], ix.starts)
+        cur = dist[ix.rows]
+        if not (best < cur).any():
+            break
+        dist[ix.rows] = np.minimum(cur, best)
+    dist = dist.tolist()
 
     out_ptr, out_dst = ix.out_ptr, ix.out_dst
+    for v in out_dst[out_ptr[s] : out_ptr[s + 1]]:
+        c = dist[v] + (PENALTY_WEIGHT if s * n + v in penalized else 1)
+        if c < dist[s]:
+            dist[s] = c
+    if dist[s] >= _FAR:
+        raise Unreachable(f"no route from {src!r} to {dst!r}")
+
     path = [s]
     v = s
     while v != d:
+        base = v * n
         for nxt in out_dst[out_ptr[v] : out_ptr[v + 1]]:
-            w = PENALTY_WEIGHT if (v * n + nxt) in penalized else 1
-            if dist[nxt] + w == dist[v]:
+            if dist[nxt] + (PENALTY_WEIGHT if base + nxt in penalized else 1) == dist[v]:
                 path.append(nxt)
                 v = nxt
                 break

@@ -57,19 +57,21 @@ def gfh_solve(
     required: list[str],
     optional: list[str],
     pinned: list[tuple[str, int]] | None = None,
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[dict[str, int], set[str]]:
     """Greedy fewest-feasible-first colorful-set search.
 
     Returns (stream id -> selected vertex id, rejected stream ids). Raises
     RequiredColorUnsatisfiable when a required color runs out of feasible
     vertices. Pinned colors are selected first, in the given order.
+    `columns`, when given, is `g.columns(required + optional)`.
     """
     pinned = pinned or []
     colors = list(dict.fromkeys(required + optional))
     n_colors = len(colors)
     cindex = {c: i for i, c in enumerate(colors)}
     indptr, indices = g.csr()
-    col_of, route, phase = g.columns(colors)
+    col_of, route, phase = columns if columns is not None else g.columns(colors)
     route, phase = route.tolist(), phase.tolist()  # plain ints for the vertex keys
     state = np.zeros(len(col_of), dtype=np.int8)
     # each color's vids, ascending: a stable sort by color
@@ -145,10 +147,12 @@ def defensive_plan(
 ) -> tuple[dict[str, int], set[str]]:
     """Keep old streams on their current configuration, place new streams
     around them."""
-    col_of, route, phase = g.columns(list(survivors))
-    # the last entry, -1, is what the vertices of other streams look up
-    want_route = np.array([cfg.route_index for cfg in survivors.values()] + [-1])
-    want_phase = np.array([cfg.phase for cfg in survivors.values()] + [-1])
+    columns = col_of, route, phase = g.columns(list(survivors) + new_ids)
+    # new streams' vertices, and through the last entry those of other
+    # streams, look up -1
+    other = [-1] * (len(new_ids) + 1)
+    want_route = np.array([cfg.route_index for cfg in survivors.values()] + other)
+    want_phase = np.array([cfg.phase for cfg in survivors.values()] + other)
     hit = np.flatnonzero((route == want_route[col_of]) & (phase == want_phase[col_of]))
     vid_of = dict(zip(col_of[hit].tolist(), hit.tolist()))
     pinned = []
@@ -156,7 +160,9 @@ def defensive_plan(
         if i not in vid_of:
             raise RuntimeError(f"pinned configuration of {sid!r} missing from graph")
         pinned.append((sid, vid_of[i]))
-    return gfh_solve(g, required=list(survivors), optional=new_ids, pinned=pinned)
+    return gfh_solve(
+        g, required=list(survivors), optional=new_ids, pinned=pinned, columns=columns
+    )
 
 
 def offensive_plan(
@@ -296,7 +302,12 @@ class Planner:
         defensive = defensive_plan(g, survivors, list(new_streams))
         offensive = offensive_plan(g, survivors, list(new_streams))
         selection, rejected = choose_plan(defensive, offensive)
-        assignments = {sid: g.config(vid) for sid, vid in selection.items()}
+        # a survivor the plan keeps on its pinned vertex keeps its configuration
+        pinned = defensive[0]
+        assignments = {
+            sid: survivors[sid] if sid in survivors and vid == pinned[sid] else g.config(vid)
+            for sid, vid in selection.items()
+        }
         solving_s = time.perf_counter() - t_solve
 
         g.remove_streams(rejected)

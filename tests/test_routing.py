@@ -64,26 +64,70 @@ def multi_homed_net() -> Network:
     return Network(nodes, links)
 
 
+def one_way_ring_net() -> Network:
+    """A 5-bridge ring whose cables b1 -> b2 and b4 -> b3 run one way only,
+    so b2 and b3 cannot reach b4, b0 or b1, plus a direct d0 -> d2 device
+    link, one way too."""
+    bridges = [f"b{i}" for i in range(5)]
+    devices = [f"d{i}" for i in range(5)]
+    nodes = [Node(b, BRIDGE) for b in bridges] + [Node(d, END_DEVICE) for d in devices]
+    pairs = [("b0", "b1"), ("b2", "b3"), ("b4", "b0")] + list(zip(devices, bridges))
+    links = [l for a, b in pairs for l in (Link(a, b, 1000), Link(b, a, 1000))]
+    links += [Link(a, b, 1000) for a, b in (("b1", "b2"), ("b4", "b3"), ("d0", "d2"))]
+    return Network(nodes, links)
+
+
 ORACLE_NETS = {
     "ring12": lambda: gen_ring(12),  # "b10" < "b2" decides ties
     "grid3x4": lambda: gen_grid(3, 4),
     "multi-homed": multi_homed_net,
+    "one-way-ring5": one_way_ring_net,
     **{f"waxman40-s{s}": (lambda s=s: gen_waxman(40, seed=s)) for s in range(3)},
     **{f"random30-s{s}": (lambda s=s: gen_random(30, 0.15, s)) for s in range(3)},
+    "waxman128-s0": lambda: gen_waxman(128, seed=0),  # the benchmark's topology
 }
+# nets whose endpoints include bridges, and nets sampled below 300 pairs
+ALL_NODE_ENDPOINTS = {"one-way-ring5"}
+PAIR_SAMPLE = {"waxman128-s0": 60}
 
 
 @pytest.mark.parametrize("name", list(ORACLE_NETS))
 def test_candidate_routes_match_path_heap_oracle(name):
     net = ORACLE_NETS[name]()
-    pairs = list(itertools.permutations(net.end_devices(), 2))
-    if len(pairs) > 300:
-        pairs = Random(name).sample(pairs, 300)
+    ends = sorted(net.nodes) if name in ALL_NODE_ENDPOINTS else net.end_devices()
+    pairs = list(itertools.permutations(ends, 2))
+    sample = PAIR_SAMPLE.get(name, 300)
+    if len(pairs) > sample:
+        pairs = Random(name).sample(pairs, sample)
+    got = {}
     for src, dst in pairs:
         for k in (1, 2, 3):
-            got = candidate_routes(net, src, dst, k)
-            want = oracle_candidate_routes(net, src, dst, k)
-            assert [r.links for r in got] == [r.links for r in want], (src, dst, k)
+            try:
+                want = oracle_candidate_routes(net, src, dst, k)
+            except Unreachable:
+                with pytest.raises(Unreachable):
+                    candidate_routes(net, src, dst, k)
+                continue
+            got[src, dst, k] = [r.links for r in candidate_routes(net, src, dst, k)]
+            assert got[src, dst, k] == [r.links for r in want], (src, dst, k)
+    # routes depend on the endpoints alone, not on what was routed before
+    keys = list(got)
+    Random(name).shuffle(keys)
+    for src, dst, k in keys:
+        assert [r.links for r in candidate_routes(net, src, dst, k)] == got[src, dst, k]
+
+
+def test_one_way_ring_routes():
+    net = one_way_ring_net()
+    assert shortest_path(net, "d0", "d2").nodes == ("d0", "d2")
+    assert [r.nodes for r in candidate_routes(net, "d0", "d2", 2)] == [
+        ("d0", "d2"),
+        ("d0", "b0", "b1", "b2", "d2"),
+    ]
+    assert shortest_path(net, "b0", "b3").nodes == ("b0", "b4", "b3")
+    for src, dst in (("d2", "d0"), ("b3", "b4"), ("d3", "b1")):
+        with pytest.raises(Unreachable):
+            candidate_routes(net, src, dst, 2)
 
 
 def test_unknown_or_disconnected_endpoint_is_unreachable():

@@ -329,8 +329,11 @@ def test_iterate_empty_batch_is_noop():
     p = planner_on_shared()
     p.iterate(StreamBatch(0, add=[mkstream("s0", period=500)]))
     before = dict(p.state.admitted)
+    configs = dict(p.state.plan.assignments)
     m = p.iterate(StreamBatch(1))
     assert p.state.admitted == before and m.rejected == 0
+    # a survivor kept on its pinned vertex keeps its Configuration object
+    assert all(p.state.plan.assignments[sid] is c for sid, c in configs.items())
     assert p.state.plan.assignments.keys() == before.keys()
 
 
