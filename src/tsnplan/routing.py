@@ -12,11 +12,17 @@ sequences compares name sequences, and works in two steps:
 
 1. Reverse distance: the cost from each node to the destination. One
    vectorised min-plus relaxation over the bridges' out-links lowers each
-   bridge's distance to the least link cost plus successor distance, and
-   repeats until no distance falls, so every bridge distance is exact. The
+   bridge's distance to the least link cost plus successor distance. The
    destination stays at 0 and no other end device gets a distance, so none
    is ever interior. The source's distance is the least over its own
-   out-links.
+   out-links. After r rounds a bridge's distance is its least cost over
+   routes of at most r links. A longer route costs at least r - 1 + m_d,
+   m_d the least cost of a bridge's link into the destination, as every
+   link costs at least 1; so every distance of at most r - 1 + m_d is
+   exact. The rounds stop once no distance falls, or once the source's
+   bound is at most r - 1 + m_d + m_s, m_s its least first-hop cost: then
+   the source's distance is exact, and so is every distance below it by
+   m_s or more, which covers every node the walk below can call tight.
 2. Forward walk: from the source, repeatedly take the out-link to the
    smallest node id that is tight, i.e. whose distance plus the link's cost
    equals the current node's distance.
@@ -82,8 +88,9 @@ class _Index:
     are the ends of u's out-links in ascending order. Link u -> v is known
     by its code u * n + v, n the node count. The bridges' out-links are also
     kept as flat numpy columns in ascending code order: `dst` and `code`,
-    with `starts[i]` the first link of bridge `rows[i]`. Links to or from
-    unknown nodes are left out.
+    with `starts[i]` the first link of bridge `rows[i]`, and `into[v]` lists
+    the codes of the bridges' links into v. Links to or from unknown nodes
+    are left out.
     """
 
     def __init__(self, net: Network):
@@ -93,6 +100,7 @@ class _Index:
         self.out_ptr = [0]
         self.out_dst: list[int] = []
         rows, dst, code = [], [], []
+        self.into: list[list[int]] = [[] for _ in range(n)]
         for u, name in enumerate(self.names):
             for link in net.out_links(name):  # sorted by destination name
                 v = self.id.get(link.dst)
@@ -103,7 +111,9 @@ class _Index:
             if net.nodes[name].kind == BRIDGE and b > a:
                 rows.append(u)
                 dst.extend(self.out_dst[a:b])
-                code.extend(u * n + v for v in self.out_dst[a:b])
+                for v in self.out_dst[a:b]:
+                    code.append(u * n + v)
+                    self.into[v].append(u * n + v)
         self.rows = np.array(rows, dtype=np.intp)
         self.dst = np.array(dst, dtype=np.intp)
         self.code = np.array(code, dtype=np.int64)
@@ -133,23 +143,32 @@ def _search(ix: _Index, src: str, dst: str, penalized: set[int]) -> tuple[int, .
         pen = np.fromiter(penalized, dtype=np.int64, count=len(penalized))
         at = np.minimum(np.searchsorted(ix.code, pen), len(w) - 1)
         w[at[ix.code[at] == pen]] = PENALTY_WEIGHT
+    out_ptr, out_dst = ix.out_ptr, ix.out_dst
+    first_hops = [
+        (v, PENALTY_WEIGHT if s * n + v in penalized else 1)
+        for v in out_dst[out_ptr[s] : out_ptr[s + 1]]
+    ]
+    # least costs of a first hop and of a bridge's link into dst (a lower
+    # bound, PENALTY_WEIGHT when no bridge links into dst)
+    into_dst = 1 if any(c not in penalized for c in ix.into[d]) else PENALTY_WEIGHT
+    slack = min((c for _, c in first_hops), default=1) + into_dst - 1
     dist = np.full(n, _FAR, dtype=np.int64)
     dist[d] = 0
     # every cost is below _FAR + PENALTY_WEIGHT < 2**63, so int64 is exact;
     # best >= 1 keeps a bridge dst at 0
-    while True:
+    rounds = 0
+    while min((c + int(dist[v]) for v, c in first_hops), default=_FAR) > rounds + slack:
         best = np.minimum.reduceat(w + dist[ix.dst], ix.starts)
         cur = dist[ix.rows]
         if not (best < cur).any():
             break
         dist[ix.rows] = np.minimum(cur, best)
+        rounds += 1
     dist = dist.tolist()
 
-    out_ptr, out_dst = ix.out_ptr, ix.out_dst
-    for v in out_dst[out_ptr[s] : out_ptr[s + 1]]:
-        c = dist[v] + (PENALTY_WEIGHT if s * n + v in penalized else 1)
-        if c < dist[s]:
-            dist[s] = c
+    for v, c in first_hops:
+        if dist[v] + c < dist[s]:
+            dist[s] = dist[v] + c
     if dist[s] >= _FAR:
         raise Unreachable(f"no route from {src!r} to {dst!r}")
 

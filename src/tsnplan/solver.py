@@ -6,6 +6,10 @@ with the lowest degree among feasible vertices. Previously admitted streams
 are either pinned to their current configuration (defensive planning) or
 required but free to be reconfigured (offensive planning); the plan with
 fewer rejected new streams wins, ties going to the defensive plan.
+
+A solve's numpy work scales with its colors, not with their vertices: all
+pinned vertices are selected in one pass, and each later color step is a
+bincount over the color's slice of a candidate order built once per solve.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .model import IterationState, Network, Stream, StreamBatch, hypercycle
 from .routing import Unreachable, candidate_routes
 from .timing import ORACLE_BOUND, OracleBoundExceeded, link_occupancy
 
-_FREE, _EXCLUDED, _SELECTED = 0, 1, 2
+_RESOLVED = np.iinfo(np.int64).max  # color key of a selected or rejected color
 
 
 class RequiredColorUnsatisfiable(Exception):
@@ -52,6 +56,14 @@ class IterationMetrics:
     routing_ms: float
 
 
+def _rows(indptr: np.ndarray, vids: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Positions in the CSR's `indices` of the rows of `vids`, concatenated;
+    `deg` holds the rows' lengths."""
+    pos = np.repeat(indptr[vids] - (np.cumsum(deg) - deg), deg)
+    pos += np.arange(len(pos))
+    return pos
+
+
 def gfh_solve(
     g: ConflictGraph,
     required: list[str],
@@ -63,79 +75,109 @@ def gfh_solve(
 
     Returns (stream id -> selected vertex id, rejected stream ids). Raises
     RequiredColorUnsatisfiable when a required color runs out of feasible
-    vertices. Pinned colors are selected first, in the given order.
-    `columns`, when given, is `g.columns(required + optional)`.
+    vertices. `columns`, when given, is `g.columns(required + optional)`.
+
+    Pinned colors, each pinned to one of its own vertices, are selected
+    first and all at once. When an earlier pin already rules a pinned
+    vertex out (the vertex neighbours an earlier pin, or its color was
+    pinned before), the first such color in pin order raises.
+
+    The other colors are resolved one per step, fewest feasible vertices
+    first. Each color's key (feasible, total, rank by stream id) lives in
+    one integer array that every exclusion updates in place. The candidate
+    order is built once per solve, after pinning: each open color's
+    vertices sorted by (phase, route index, vid), with their neighbour rows
+    gathered in that order. A step counts the free neighbours of the whole
+    color with one bincount and takes the first free vertex of least count,
+    i.e. the least (feasible degree, phase, route index), ties to the
+    lowest vid.
     """
     pinned = pinned or []
     colors = list(dict.fromkeys(required + optional))
     n_colors = len(colors)
     cindex = {c: i for i, c in enumerate(colors)}
+    required_set = set(required)
     indptr, indices = g.csr()
     col_of, route, phase = columns if columns is not None else g.columns(colors)
-    route, phase = route.tolist(), phase.tolist()  # plain ints for the vertex keys
-    state = np.zeros(len(col_of), dtype=np.int8)
-    # each color's vids, ascending: a stable sort by color
-    order = np.argsort(col_of, kind="stable")
-    bounds = np.searchsorted(col_of[order], np.arange(n_colors + 1))
-    color_vids = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    feas = np.diff(bounds)
-    total = feas.copy()
-    rank = np.empty(n_colors, dtype=np.int64)  # tie-break by stream id
-    for r, c in enumerate(sorted(colors)):
-        rank[cindex[c]] = r
-    required_mask = np.isin(colors, required)
-    resolved = np.zeros(n_colors, dtype=bool)
-    # lexicographic (feas, total, rank) packed into one sortable integer
+    n = len(col_of)
+    free = np.ones(n, dtype=bool)
+    # uncolored vertices (col_of -1) belong to a spare last slot
+    slot = np.where(col_of < 0, n_colors, col_of)
+    counts = np.bincount(slot, minlength=n_colors + 1)
+    rank = np.empty(n_colors, dtype=np.int64)
+    rank[sorted(range(n_colors), key=colors.__getitem__)] = np.arange(n_colors)
+    # lexicographic (feasible, total, rank) packed into one sortable integer;
+    # a color's feasible count starts at its total
     m2 = n_colors + 1
-    m1 = m2 * (int(total.max(initial=0)) + 1)
+    m1 = m2 * (int(counts[:n_colors].max(initial=0)) + 1)
+    key = counts * (m1 + m2)
+    color_key = key[:n_colors]
+    color_key += rank
     selected: dict[str, int] = {}
     rejected: set[str] = set()
 
-    def exclude_free(vids: np.ndarray) -> None:
-        free = vids[state[vids] == _FREE]
-        state[free] = _EXCLUDED
-        ci = col_of[free]
-        ci = ci[ci >= 0]
-        if len(ci):
-            np.subtract.at(feas, ci, 1)
+    if pinned:
+        pin_colors, pin_vids = zip(*pinned)
+        pin_c = np.array([cindex[c] for c in pin_colors])
+        pin_v = np.array(pin_vids)
+        k = len(pinned)
+        at = np.arange(k)
+        # blocker[v]: the first pin that takes v out, k when none does
+        first = np.full(n_colors + 1, k)
+        np.minimum.at(first, pin_c, at)
+        blocker = first[slot]  # a pinned color's vertices
+        deg = indptr[pin_v + 1] - indptr[pin_v]
+        np.minimum.at(blocker, indices[_rows(indptr, pin_v, deg)], np.repeat(at, deg))
+        late = np.flatnonzero(blocker[pin_v] < at)
+        if len(late):
+            raise RequiredColorUnsatisfiable(pin_colors[late[0]])
+        out = blocker < k
+        free[out] = False
+        key -= m1 * np.bincount(slot[out], minlength=n_colors + 1)
+        color_key[pin_c] = _RESOLVED
+        selected.update(pinned)
 
-    def select(ci: int, vid: int) -> None:
-        state[vid] = _SELECTED
-        selected[colors[ci]] = vid
-        resolved[ci] = True
-        siblings = color_vids[ci]
-        exclude_free(siblings[siblings != vid])
-        exclude_free(indices[indptr[vid] : indptr[vid + 1]])
+    # the open colors' vertices by (color, phase, route, vid), sorted stably
+    # on one int64 key; phases are below 2**31, like periods
+    is_open = np.append(color_key != _RESOLVED, False)
+    cand = np.flatnonzero(is_open[slot])
+    within = phase[cand] * (int(route.max(initial=0)) + 1) + route[cand]
+    order_key = slot[cand] * (int(within.max(initial=0)) + 1) + within
+    cand = cand[np.argsort(order_key, kind="stable")]
+    seg_counts = np.where(is_open, counts, 0)[:n_colors]
+    bounds = np.concatenate([[0], np.cumsum(seg_counts)])
+    deg = indptr[cand + 1] - indptr[cand]
+    nbr = indices[_rows(indptr, cand, deg)].astype(np.int32)
+    # each gathered neighbour's owner, by its place in its color's segment
+    place = np.arange(len(cand), dtype=np.int32) - np.repeat(
+        bounds[:-1].astype(np.int32), seg_counts
+    )
+    owner = np.repeat(place, deg)
+    nbounds = np.concatenate([[0], np.cumsum(deg)])[bounds].tolist()
+    bounds = bounds.tolist()
 
-    for color, vid in pinned:
-        if state[vid] != _FREE:
-            raise RequiredColorUnsatisfiable(color)
-        select(cindex[color], vid)
-
-    n_resolved = int(resolved.sum())
-    while n_resolved < n_colors:
-        key = feas * m1 + total * m2 + rank
-        key[resolved] = np.iinfo(np.int64).max
-        ci = int(np.argmin(key))
-        if feas[ci] == 0:
-            if required_mask[ci]:
+    for _ in range(n_colors - len(selected)):
+        ci = int(color_key.argmin())
+        if color_key[ci] < m1:  # no feasible vertex left
+            if colors[ci] in required_set:
                 raise RequiredColorUnsatisfiable(colors[ci])
             rejected.add(colors[ci])
-            resolved[ci] = True
-            n_resolved += 1
+            color_key[ci] = _RESOLVED
             continue
-        cands = color_vids[ci]
-        cands = cands[state[cands] == _FREE]
-        best_vid = None
-        best_key = None
-        for v in cands.tolist():
-            nb = indices[indptr[v] : indptr[v + 1]]
-            feasdeg = int(np.count_nonzero(state[nb] == _FREE))
-            vkey = (feasdeg, phase[v], route[v])
-            if best_key is None or vkey < best_key:
-                best_key, best_vid = vkey, v
-        select(ci, best_vid)
-        n_resolved += 1
+        seg = cand[bounds[ci] : bounds[ci + 1]]
+        a, b = nbounds[ci], nbounds[ci + 1]
+        feasdeg = np.bincount(owner[a:b], weights=free[nbr[a:b]], minlength=len(seg))
+        feasdeg[~free[seg]] = n  # only free vertices are candidates
+        vid = int(seg[feasdeg.argmin()])
+        selected[colors[ci]] = vid
+        color_key[ci] = _RESOLVED
+        # one exclusion pass: the color's vertices, then the neighbours still
+        # free, each counted against its color's key
+        free[seg] = False
+        nb = indices[indptr[vid] : indptr[vid + 1]]
+        nb = nb[free[nb]]
+        free[nb] = False
+        np.subtract.at(key, slot[nb], m1)
 
     return selected, rejected
 

@@ -5,10 +5,18 @@ import pytest
 
 from tsnplan.harness import gen_grid, gen_random, gen_ring, gen_waxman
 from tsnplan.model import BRIDGE, END_DEVICE, Link, Network, Node
-from tsnplan.routing import Route, Unreachable, candidate_routes, shortest_path
+from tsnplan.routing import (
+    PENALTY_WEIGHT,
+    Route,
+    Unreachable,
+    _index,
+    _search,
+    candidate_routes,
+    shortest_path,
+)
 
 from conftest import chain_net, chain_route
-from routing_oracle import oracle_candidate_routes
+from routing_oracle import _dijkstra, oracle_candidate_routes
 
 
 def test_ring_tie_break_is_lexicographic():
@@ -115,6 +123,26 @@ def test_candidate_routes_match_path_heap_oracle(name):
     Random(name).shuffle(keys)
     for src, dst, k in keys:
         assert [r.links for r in candidate_routes(net, src, dst, k)] == got[src, dst, k]
+
+
+@pytest.mark.parametrize(
+    "penalized",
+    [[("c", "z")], [("a", "c")], [("a", "c"), ("c", "z"), ("b10", "z")]],
+)
+def test_search_waits_for_a_long_route_that_ties_a_penalized_shortcut(penalized):
+    # a reaches z through c or through b1 ... b10, at equal cost: 11, or 20
+    # when every link into z is penalized. Via c is known after one or two
+    # relaxation rounds, via b1 only after ten; the search may not stop
+    # before, since b1 < c makes that route the smaller one
+    chain = [f"b{i}" for i in range(1, 11)]
+    nodes = [Node(x, END_DEVICE) for x in ("a", "z")] + [Node(x, BRIDGE) for x in chain + ["c"]]
+    pairs = [("a", "c"), ("c", "z"), ("a", "b1"), *zip(chain, chain[1:]), ("b10", "z")]
+    net = Network(nodes, [l for u, v in pairs for l in (Link(u, v, 1000), Link(v, u, 1000))])
+    ix = _index(net)
+    codes = {ix.id[u] * len(ix.names) + ix.id[v] for u, v in penalized}
+    path = _search(ix, "a", "z", codes)
+    want = _dijkstra(net, "a", "z", dict.fromkeys(penalized, PENALTY_WEIGHT))
+    assert tuple(ix.names[x] for x in path) == want.nodes == ("a", *chain, "z")
 
 
 def test_one_way_ring_routes():

@@ -1,9 +1,12 @@
+import functools
 import itertools
 import time
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsnplan.conflict_graph import Configuration, ConflictGraph
 from tsnplan.expansion import ExpansionParams
@@ -23,15 +26,20 @@ from tsnplan.solver import (
 from tsnplan.timing import OracleBoundExceeded, link_occupancy
 
 from conftest import build_config, mkstream, neighbors, shared_link_net, through_route
+from solver_oracle import oracle_gfh_solve
 
 
 class FakeGraph:
     """Minimal structure-only stand-in implementing the solver's graph
-    protocol: arbitrary adjacency, colors, and per-vertex tie-break data."""
+    protocol: arbitrary adjacency, colors, and per-vertex tie-break data.
+    Without `route` and `phase`, every route index is 0 and every phase
+    unique."""
 
-    def __init__(self, n, edges, color_of):
+    def __init__(self, n, edges, color_of, route=None, phase=None):
         self.n = n
         self._color_of = color_of
+        self._route = np.array([0] * n if route is None else route, dtype=np.int64)
+        self._phase = np.array(range(n) if phase is None else phase, dtype=np.int64)
         rows = [sorted({u for e in edges if v in e for u in e if u != v})
                 for v in range(n)]
         self._csr = (
@@ -44,9 +52,10 @@ class FakeGraph:
 
     def columns(self, colors):
         where = {c: i for i, c in enumerate(colors)}
-        index = np.array([where.get(self._color_of[v], -1) for v in range(self.n)])
-        # unique phases make the vertex tie-break deterministic and visible
-        return index, np.zeros(self.n, dtype=np.int64), np.arange(self.n)
+        index = np.array(
+            [where.get(self._color_of[v], -1) for v in range(self.n)], dtype=np.int64
+        )
+        return index, self._route, self._phase
 
     def vids_of(self, color):
         return [v for v in range(self.n) if self._color_of[v] == color]
@@ -128,6 +137,14 @@ def test_vertex_tie_break_prefers_lower_degree():
     assert selection["a"] == 1 and rejected == set()
 
 
+def test_a_resolved_colors_other_vertices_stop_counting_as_free():
+    # "a" resolves first and takes the isolated vertex 0; its vertex 1 is
+    # then excluded, so b's vertices 2 and 3 both have feasible degree 0 and
+    # the phase decides for 2
+    fake = FakeGraph(4, [(1, 2)], {0: "a", 1: "a", 2: "b", 3: "b"}, phase=[0, 0, 0, 1])
+    assert gfh_solve(fake, [], ["a", "b"]) == ({"a": 0, "b": 2}, set())
+
+
 def test_solver_oracle_random_instances():
     rng = Random(42)
     optimal = 0
@@ -150,6 +167,52 @@ def test_solver_oracle_random_instances():
         if len(selection) == best:
             optimal += 1
     assert optimal >= 0.7 * 60
+
+
+PALETTE = ["a", "b", "c", "d", "e"]
+
+
+@st.composite
+def solver_cases(draw):
+    """A random FakeGraph of drawn edge density, with few distinct (phase,
+    route) pairs so that vertex ties are common, and a solve over part of
+    its colors: vertices of the other colors stay uncolored, and a listed
+    color may have no vertex. Pins name vertices of their own color, in any
+    order, possibly clashing (adjacent to an earlier pin, or a color pinned
+    twice)."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(0, 12))
+    density = draw(st.sampled_from([0.15, 0.35, 0.6]))
+    color_of = {v: rng.choice(PALETTE) for v in range(n)}
+    edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+    ]
+    route = [rng.randrange(2) for _ in range(n)]
+    phase = [rng.randrange(3) for _ in range(n)]
+    listed = rng.sample(PALETTE, rng.randrange(len(PALETTE) + 1))
+    required = rng.sample(listed, rng.randrange(len(listed) + 1))
+    optional = [c for c in listed if c not in required]
+    pinnable = [(c, v) for v, c in color_of.items() if c in listed]
+    pinned = [rng.choice(pinnable) for _ in range(rng.randrange(5))] if pinnable else []
+    fake = FakeGraph(n, edges, color_of, route, phase)
+    return fake, required, optional, pinned
+
+
+def solve_or_raised(solve, fake, required, optional, pinned):
+    try:
+        return solve(fake, required, optional, pinned=pinned)
+    except RequiredColorUnsatisfiable as e:
+        return "raised", e.color
+
+
+@settings(max_examples=400, deadline=None)
+@given(solver_cases(), st.booleans())
+def test_gfh_solve_matches_the_sequential_oracle(case, pass_columns):
+    fake, required, optional, pinned = case
+    columns = fake.columns(required + optional) if pass_columns else None
+    solve = functools.partial(gfh_solve, columns=columns)
+    got = solve_or_raised(solve, fake, required, optional, pinned)
+    assert got == solve_or_raised(oracle_gfh_solve, fake, required, optional, pinned)
 
 
 # -- planning on real conflict graphs -----------------------------------
