@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -65,10 +64,6 @@ _VERTEX_COLUMNS = {"color": np.int32, "route": np.int32, "phase": np.int64}
 
 
 class DuplicateConfiguration(Exception):
-    pass
-
-
-class NoVertices(Exception):
     pass
 
 
@@ -356,19 +351,13 @@ class ConflictGraph:
             self._csr = (np.concatenate([[0], np.cumsum(counts)]), indices)
         return self._csr
 
-    def avg_degree(self, stream_id: str) -> Fraction:
-        vids = self.vids_of(stream_id)
-        if not vids:
-            raise NoVertices(f"stream {stream_id!r} has no vertices")
-        return Fraction(int(np.diff(self.csr()[0])[vids].sum()), len(vids))
-
-    def page_rank(self) -> dict[int, float]:
+    def page_rank(self) -> np.ndarray:
         """Power iteration treating each edge as two directed arcs; degree-0
         vertices spread their mass uniformly. Scores are renormalized every
         iteration and sum to 1."""
         n = self.vertex_count
         if n == 0:
-            return {}
+            return np.zeros(0)
         indptr, indices = self.csr()
         deg = np.diff(indptr)
         dangling = deg == 0
@@ -382,10 +371,4 @@ class ConflictGraph:
             mass = p[dangling].sum()
             p_new = (1.0 - PAGERANK_DAMPING) / n + PAGERANK_DAMPING * (spread + mass / n)
             p = p_new / p_new.sum()
-        return dict(enumerate(p.tolist()))
-
-    def stream_rank(self, pr: dict[int, float], stream_id: str) -> float:
-        vids = self.vids_of(stream_id)
-        if not vids:
-            raise NoVertices(f"stream {stream_id!r} has no vertices")
-        return sum(pr[v] for v in vids)
+        return p

@@ -9,14 +9,15 @@ distributed totals are preserved deterministically.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
+import numpy as np
+
 from . import timing
-from .conflict_graph import Configuration, ConflictGraph, NoVertices
+from .conflict_graph import Configuration, ConflictGraph
 from .model import Network, Stream, StreamBatch, traffic_volume
 from .routing import Route
 
@@ -211,10 +212,12 @@ def _metric_budget(metrics: dict, r_i: int, order: list[str]) -> dict[str, int]:
     """Shared shape of the avg-degree and page-rank formulas: extras
     proportional to the distance below the hardest stream's metric.
 
-    Near-equal float totals count as degenerate and split evenly. An exact
-    nonzero average-degree denominator is at least 1/lcm of the streams'
-    vertex counts, which are at most alpha when the budget is computed, so
-    for alpha <= 28 it always clears the tolerance."""
+    Near-equal float totals count as degenerate and split evenly. The exact
+    average-degree denominator is a sum of terms top - m_i >= 0; a positive
+    one is a difference of two fractions whose denominators, the streams'
+    vertex counts, are at most alpha when the budget is computed, so it is
+    at least 1/alpha**2, and for any alpha below 10**6 it clears the
+    tolerance."""
     top = max(metrics.values())
     denom = top * len(order) - sum(metrics.values())
     if abs(denom) < 1e-12:
@@ -223,29 +226,33 @@ def _metric_budget(metrics: dict, r_i: int, order: list[str]) -> dict[str, int]:
     return _largest_remainder(raws, r_i, order)
 
 
-def _metric_or_zero(metric, order: list[str]) -> dict:
-    """metric(stream id) for each stream, 0 for a stream without vertices."""
-    out = {}
-    for sid in order:
-        try:
-            out[sid] = metric(sid)
-        except NoVertices:
-            out[sid] = 0
-    return out
+def stream_sums(
+    g: ConflictGraph, scores: np.ndarray, order: list[str]
+) -> tuple[list[float], list[int]]:
+    """Per stream of `order`, all at once: the sum of its vertices' scores,
+    added left to right in vid order, and its vertex count."""
+    slot = g.columns(order)[0] + 1  # slot 0 gathers the unlisted streams
+    sums = np.bincount(slot, scores, len(order) + 1)[1:]
+    counts = np.bincount(slot, minlength=len(order) + 1)[1:]
+    return sums.tolist(), counts.tolist()
 
 
 def budget_avg_degree(batch: StreamBatch, r_i: int, g: ConflictGraph) -> dict[str, int]:
-    """Step-two budgets from per-stream average vertex degree after the base
-    expansion; base budgets are already placed, so no alpha term."""
+    """Step-two budgets from per-stream exact average vertex degree after the
+    base expansion, 0 for a stream without vertices; base budgets are already
+    placed, so no alpha term."""
     order = [s.id for s in batch.add]
-    return _metric_budget(_metric_or_zero(g.avg_degree, order), r_i, order)
+    sums, counts = stream_sums(g, np.diff(g.csr()[0]), order)
+    degrees = {sid: Fraction(int(d), c or 1) for sid, d, c in zip(order, sums, counts)}
+    return _metric_budget(degrees, r_i, order)
 
 
 def budget_page_rank(batch: StreamBatch, r_i: int, g: ConflictGraph) -> dict[str, int]:
-    """Like budget_avg_degree but with 4-iteration page-rank stream scores."""
+    """Like budget_avg_degree but with each stream's summed 4-iteration
+    page-rank."""
     order = [s.id for s in batch.add]
-    ranks = _metric_or_zero(functools.partial(g.stream_rank, g.page_rank()), order)
-    return _metric_budget(ranks, r_i, order)
+    ranks = stream_sums(g, g.page_rank(), order)[0]
+    return _metric_budget(dict(zip(order, ranks)), r_i, order)
 
 
 def expand(

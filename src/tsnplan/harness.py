@@ -16,6 +16,7 @@ import os
 from dataclasses import astuple, dataclass, field, fields
 from random import Random
 
+from .conflict_graph import Configuration
 from .expansion import ExpansionParams
 from .model import (
     BRIDGE,
@@ -28,7 +29,9 @@ from .model import (
     StreamBatch,
     validate_network,
 )
+from .routing import Route
 from .solver import IterationMetrics, Planner, TrafficPlan, validate_plan
+from .timing import link_occupancy
 
 DEFAULT_RATE = 1000  # bits per tick = 1 Gbit/s
 DEFAULT_PROPAGATION = 1
@@ -341,10 +344,6 @@ def load_plan(path, net: Network) -> TrafficPlan:
     """Rebuild a TrafficPlan from plan.json against a topology. Phases are
     not checked against the deadline, so that validate_plan can report a
     late stream. Raises ConfigError for an unreadable or malformed plan."""
-    from .conflict_graph import Configuration
-    from .routing import Route
-    from .timing import link_occupancy
-
     try:
         with open(path) as f:
             d = json.load(f)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .conflict_graph import Configuration, ConflictGraph
 from .expansion import ExpansionParams, expand
-from .model import IterationState, Network, Stream, StreamBatch, hypercycle
+from .model import IterationState, Network, StreamBatch, hypercycle
 from .routing import Unreachable, candidate_routes
 from .timing import ORACLE_BOUND, OracleBoundExceeded, link_occupancy
 

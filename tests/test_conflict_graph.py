@@ -12,9 +12,8 @@ from tsnplan.conflict_graph import (
     Configuration,
     ConflictGraph,
     DuplicateConfiguration,
-    NoVertices,
 )
-from tsnplan.expansion import STRATEGIES, ExpansionParams, expand
+from tsnplan.expansion import STRATEGIES, ExpansionParams, expand, stream_sums
 from tsnplan.harness import gen_grid, gen_streams, gen_waxman
 from tsnplan.model import StreamBatch
 from tsnplan.routing import candidate_routes
@@ -52,6 +51,10 @@ def fresh_copy(g: ConflictGraph) -> ConflictGraph:
     for v in live_vids(g):
         out.add_configuration(g.config(v))
     return out
+
+
+def degrees(g: ConflictGraph) -> np.ndarray:
+    return np.diff(g.csr()[0])
 
 
 def edge_keys(g: ConflictGraph) -> set:
@@ -128,21 +131,20 @@ def test_avg_degree_isolated(shared_net):
     g = ConflictGraph()
     g.add_configuration(cfg(shared_net, "s0", 0, 0))
     g.add_configuration(cfg(shared_net, "s1", 1, 50))
-    assert g.avg_degree("s0") == 0
-    with pytest.raises(NoVertices):
-        g.avg_degree("ghost")
+    # degree sum and vertex count per stream; a stream without vertices reads 0
+    assert stream_sums(g, degrees(g), ["s0", "ghost"]) == ([0, 0], [1, 0])
 
 
 def test_avg_degree_mixed():
     # X (size 1500) vertex at phase 0 overlaps A, B, C on the shared link;
-    # its phase-9 sibling overlaps only C -> average degree (3 + 1) / 2 = 2
+    # its phase-9 sibling overlaps only C -> degree sum 3 + 1 over 2 vertices
     net = shared_link_net(n_pairs=4)
     g = ConflictGraph()
     g.add_configuration(cfg(net, "x", 0, 0, size=1500))
     g.add_configuration(cfg(net, "x", 0, 9, size=1500))
     for sid, i, phi in (("a", 1, 10), ("b", 2, 13), ("c", 3, 16)):
         g.add_configuration(cfg(net, sid, i, phi))
-    assert g.avg_degree("x") == 2
+    assert stream_sums(g, degrees(g), ["x"]) == ([4], [2])
 
 
 def test_avg_degree_star_center():
@@ -151,7 +153,7 @@ def test_avg_degree_star_center():
     center = g.add_configuration(cfg(net, "hub", 0, 0, size=1500))
     for j in range(6):  # 1-tick frames inside the hub's 12-tick window
         g.add_configuration(cfg(net, f"leaf{j}", j + 1, 12 + j, size=125))
-    assert g.avg_degree("hub") == 6
+    assert stream_sums(g, degrees(g), ["hub"]) == ([6], [1])
     assert len(neighbors(g, center)) == 6
     assert g.edge_count == 6  # leaves are pairwise disjoint
 
@@ -176,7 +178,7 @@ def test_page_rank_triangle_symmetry(shared_net):
     pr = g.page_rank()
     for v in vids:
         assert pr[v] == pytest.approx(1 / 3)
-    assert sum(pr.values()) == pytest.approx(1.0)
+    assert pr.sum() == pytest.approx(1.0)
 
 
 def test_page_rank_path_middle_dominates(shared_net):
@@ -190,26 +192,23 @@ def test_page_rank_path_middle_dominates(shared_net):
     assert g.edge_count == 2
     pr = g.page_rank()
     assert all(pr[mid] > pr[e] for e in ends)
-    assert sum(pr.values()) == pytest.approx(1.0)
+    assert pr.sum() == pytest.approx(1.0)
 
 
 def test_stream_rank_triangle(shared_net):
     g = ConflictGraph()
     for i in range(3):
         g.add_configuration(cfg(shared_net, f"s{i}", i, i))
-    pr = g.page_rank()
-    for i in range(3):
-        assert g.stream_rank(pr, f"s{i}") == pytest.approx(1 / 3)
+    ranks, counts = stream_sums(g, g.page_rank(), ["s0", "s1", "s2"])
+    assert ranks == pytest.approx([1 / 3] * 3) and counts == [1, 1, 1]
 
 
 def test_stream_rank_sole_owner(shared_net):
     g = ConflictGraph()
     for phi in (0, 20, 40):
         g.add_configuration(cfg(shared_net, "s0", 0, phi))
-    pr = g.page_rank()
-    assert g.stream_rank(pr, "s0") == pytest.approx(1.0)
-    with pytest.raises(NoVertices):
-        g.stream_rank(pr, "ghost")
+    ranks, counts = stream_sums(g, g.page_rank(), ["s0", "ghost"])
+    assert ranks == pytest.approx([1.0, 0.0]) and counts == [3, 0]
 
 
 def test_stream_rank_symmetric_four_cycle(shared_net):
@@ -221,9 +220,7 @@ def test_stream_rank_symmetric_four_cycle(shared_net):
     g.add_configuration(cfg(shared_net, "y", 1, 1))
     g.add_configuration(cfg(shared_net, "y", 1, 3))
     assert g.edge_count == 4
-    pr = g.page_rank()
-    assert g.stream_rank(pr, "x") == pytest.approx(0.5)
-    assert g.stream_rank(pr, "y") == pytest.approx(0.5)
+    assert stream_sums(g, g.page_rank(), ["x", "y"])[0] == pytest.approx([0.5, 0.5])
 
 
 @st.composite
@@ -310,7 +307,8 @@ def test_edges_match_pairwise_predicate_and_rebuild(scenario):
     # neighbours in ascending order; the two whole-vector sums use np.sum,
     # as page_rank does
     if vids:
-        assert g.page_rank() == reference_page_rank(*g.csr())
+        assert np.array_equal(g.page_rank(), reference_page_rank(*g.csr()))
+    assert_stream_sums_match_scans(g)
 
 
 @pytest.mark.parametrize("periods", [HARMONIC, NON_HARMONIC], ids=["harmonic", "non-harmonic"])
@@ -320,7 +318,9 @@ def test_join_matches_linear_scan_oracle(topology, periods, seed):
     """The configurations one expansion adds give the same CSR and
     bit-identical page-rank whether they are joined by the indexed pass or
     by the oracle's per-vertex linear scan. Each seed uses another budget
-    strategy; the two-step ones read the edges halfway through."""
+    strategy; the two-step ones read the edges halfway through. The graph's
+    streams hold up to 20 vertices each, enough for the order in which
+    stream_sums adds a stream's page-rank to show in the last bits."""
     net = gen_waxman(16) if topology == "waxman16" else gen_grid(3, 3)
     streams = gen_streams(net, 40, SIZES, periods, seed=seed)
     routes = {s.id: candidate_routes(net, s.src, s.dst, 2) for s in streams}
@@ -331,10 +331,26 @@ def test_join_matches_linear_scan_oracle(topology, periods, seed):
     for a, b in zip(g.csr(), oracle):
         assert np.array_equal(a, b)
     assert g.edge_count > 0
-    assert g.page_rank() == reference_page_rank(*oracle)
+    assert np.array_equal(g.page_rank(), reference_page_rank(*oracle))
+    assert_stream_sums_match_scans(g)
 
 
-def reference_page_rank(indptr, indices) -> dict[int, float]:
+def assert_stream_sums_match_scans(g: ConflictGraph) -> None:
+    """stream_sums gives, bit for bit, what a scan of each stream's vids
+    adds up left to right, for every live colour and one absent id; equal
+    degree sums and counts give equal exact average degrees."""
+    order = [*sorted(g.colors()), "ghost"]
+    pr = g.page_rank().tolist()
+    ranks, counts = stream_sums(g, g.page_rank(), order)
+    degree_sums, _ = stream_sums(g, degrees(g), order)
+    for sid, rank, degree_sum, count in zip(order, ranks, degree_sums, counts):
+        members = g.vids_of(sid)
+        assert count == len(members)
+        assert rank == sum(pr[v] for v in members)
+        assert degree_sum == sum(len(neighbors(g, v)) for v in members)
+
+
+def reference_page_rank(indptr, indices) -> np.ndarray:
     n = len(indptr) - 1
     rows = [indices[indptr[v] : indptr[v + 1]].tolist() for v in range(n)]
     safe = [float(len(r)) if r else 1.0 for r in rows]
@@ -351,4 +367,4 @@ def reference_page_rank(indptr, indices) -> dict[int, float]:
             ))
         total = float(np.sum(p_new))
         p = [x / total for x in p_new]
-    return dict(enumerate(p))
+    return np.array(p)

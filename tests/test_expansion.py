@@ -28,7 +28,15 @@ from tsnplan.harness import gen_ring
 from tsnplan.model import Stream, StreamBatch
 from tsnplan.routing import candidate_routes
 
-from conftest import live_vids, max_phase, mkstream, shared_link_net
+from conftest import (
+    build_config,
+    live_vids,
+    max_phase,
+    mkstream,
+    neighbors,
+    shared_link_net,
+    through_route,
+)
 from enumeration_oracle import oracle_randomized_enumeration
 
 
@@ -275,6 +283,24 @@ def test_budget_avg_degree_and_page_rank_on_empty_graph():
     b = batch_of(mkstream("n0"), mkstream("n1"))
     assert budget_avg_degree(b, 10, g) == {"n0": 5, "n1": 5}
     assert budget_page_rank(b, 10, g) == {"n0": 5, "n1": 5}
+
+    # vertices for n0 and for an older stream, none for n1: n1's metric
+    # reads 0 under both strategies
+    net = shared_link_net(n_pairs=2)
+    for sid, i, phi in (("old", 1, 0), ("old", 1, 2), ("n0", 0, 1), ("n0", 0, 50), ("n0", 0, 60)):
+        s = mkstream(sid, src=f"a{i}", dst=f"z{i}")
+        g.add_configuration(build_config(net, s, 0, through_route(net, i), phi))
+    assert g.edge_count == 2  # n0 at phase 1 meets both "old" frames
+    n0 = g.vids_of("n0")
+    degree = Fraction(sum(len(neighbors(g, v)) for v in n0), len(n0))
+    assert degree == Fraction(2, 3)
+    assert budget_avg_degree(b, 10, g) == _metric_budget(
+        {"n0": degree, "n1": 0}, 10, ["n0", "n1"]
+    ) == {"n0": 0, "n1": 10}
+    rank = sum(g.page_rank().tolist()[v] for v in n0)
+    assert budget_page_rank(b, 10, g) == _metric_budget(
+        {"n0": rank, "n1": 0}, 10, ["n0", "n1"]
+    )
 
 
 def expand_on_ring(streams, params, cps_graph=None, live_extra=()):
