@@ -9,16 +9,33 @@ one color.
 Insertion only queues a vertex. `join_queued` joins every queued vertex
 against the stored intervals, and against the other queued vertices, in one
 chunked numpy pass. `expand` calls it; otherwise the first read of the edges
-does.
+does. A removal leaves the queued vertices queued.
 
 The occupancy intervals are stored as flat columns sorted by (link, period,
-start); the rows of one link and period form a class. Two intervals conflict
-only if some multiple m of g = gcd(pa, pb) satisfies sa - eb < m < ea - sb.
-So the starts in a class that can conflict with a query interval lie in one
-window per such m, as wide as the query plus the class's longest interval,
-and `searchsorted` finds each window. When the windows touch, or outnumber
-the class's rows or `MAX_WINDOWS`, the query scans one window that spans
-them all instead. `periodic_overlap` is the exact filter on every candidate.
+start); the rows of one link and period form a class. Each row carries a
+key that packs the link and the period's rank above the start, so the order
+is the order of one int64 column, and no other column repeats the link or
+the period. A change in the live streams' periods re-ranks the keys. A
+join sorts only the queued rows and merges them in: one `searchsorted` of
+their keys in the stored keys gives their rows, and the same rows place
+them in every column.
+
+Two intervals conflict only if some multiple m of g = gcd(pa, pb) satisfies
+sa - eb < m < ea - sb. So the starts in a class that can conflict with a
+query interval lie in one window per such m, as wide as the query plus the
+class's longest interval, and `searchsorted` finds each window. When the
+windows touch, or outnumber the class's rows or `MAX_WINDOWS`, the query
+scans one window that spans them all instead. The band test of
+`periodic_overlap`, `overlap_in_band`, is the exact filter on every
+candidate, with the gcd and band of each query row and class computed once.
+
+Only the queued rows search. A queued row searches every class on its link
+that holds joined rows. A pair of queued rows is found from one side: in a
+class of queued rows only, a row looks at the rows after it in its own
+class and at the classes of shorter periods. The longer period's side needs
+one or two windows per class where the shorter side would need up to
+pb / pa, and an offline batch, where every row is queued, finds each pair
+once per shared link. The edges are sorted and deduplicated once per join.
 
 A vertex is a row of integer columns: color code, route index and phase.
 Each live (stream, route index) keeps one route and phase-0 schedule, from
@@ -42,25 +59,26 @@ from .routing import Route
 # link_occupancy is not called here: the graph shifts each configuration's
 # shared phase-0 schedule by its phase. perfbench/tracing.py still wraps the
 # name in this namespace and fails a traced run when it is missing.
-from .timing import OccupancySchedule, link_occupancy, periodic_overlap  # noqa: F401
+from .timing import OccupancySchedule, link_occupancy, overlap_in_band  # noqa: F401
 
 PAGERANK_DAMPING = 0.85
 PAGERANK_ITERATIONS = 4
 
 #: queued intervals per join chunk, windows per query interval and class, and
-#: candidate rows per `periodic_overlap` call; together they bound the join's
+#: candidate rows per `overlap_in_band` call; together they bound the join's
 #: temporary arrays
 JOIN_CHUNK = 512
 MAX_WINDOWS = 64
 CANDIDATE_CHUNK = 1 << 16
 
-#: columns of the interval store, one row per (vertex, link)
-_COLUMNS = {
-    "link": np.int32, "period": np.int32, "start": np.int64, "end": np.int64,
-    "vid": np.int32, "color": np.int32,
-}
+#: columns of the interval store, one row per (vertex, link): the sort key,
+#: which also holds the link and the period, the interval, and `vc`, which
+#: packs the vertex's vid << 32 | its color code
+_COLUMNS = {"key": np.int64, "start": np.int64, "end": np.int64, "vc": np.int64}
 #: columns of a vertex: its stream's color code, its route index and phase
 _VERTEX_COLUMNS = {"color": np.int32, "route": np.int32, "phase": np.int64}
+#: the low 32 bits, which hold a store key's start and a `vc`'s color code
+_LOW = (1 << 32) - 1
 
 
 class DuplicateConfiguration(Exception):
@@ -91,65 +109,98 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, rank
 
 
+def _store_keys(link: np.ndarray, period: np.ndarray, start: np.ndarray,
+                periods: np.ndarray) -> np.ndarray:
+    """One int64 per row that increases with (link, period, start): the class
+    number link * len(periods) + the period's rank in the sorted `periods`,
+    above the start in the low 32 bits."""
+    return (link * len(periods) + np.searchsorted(periods, period)) << 32 | start
+
+
+def _key_class(key: np.ndarray, periods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The link and the period that `_store_keys` packed into `key`."""
+    cls = key >> 32
+    return cls // len(periods), periods[cls % len(periods)]
+
+
 class _Classes:
     """The (link, period) classes of a sorted store: per class its period,
-    row count, longest interval and first and last start, and per row a key
-    that increases through the whole store, so that one `searchsorted` finds
-    a window of starts inside any class."""
+    first row, row count, longest interval, first and last start and whether
+    it holds only queued rows. The store key increases through the whole
+    store, so one `searchsorted` finds a window of starts inside any class."""
 
-    def __init__(self, store: dict[str, np.ndarray], n_links: int):
-        link, period, start = store["link"], store["period"], store["start"]
-        cut = np.flatnonzero((link[1:] != link[:-1]) | (period[1:] != period[:-1])) + 1
-        first = np.concatenate([[0], cut])
-        last = np.concatenate([cut, [len(link)]])
-        self.period = period[first].astype(np.int64)
+    def __init__(self, store: dict[str, np.ndarray], queued: np.ndarray, periods: np.ndarray):
+        key = self.key = store["key"]
+        cls = key >> 32
+        cut = np.flatnonzero(cls[1:] != cls[:-1]) + 1
+        first = self.first = np.concatenate([[0], cut])
+        last = np.concatenate([cut, [len(key)]])
+        start = store["start"]
+        link, self.period = _key_class(key[first], periods)
         self.size = last - first
         self.longest = np.maximum.reduceat(store["end"] - start, first)
         self.smin, self.smax = start[first], start[last - 1]
-        span = self.smax - self.smin + 1
+        # a bound on the last tick a row of the class holds, and the windows
+        # a query may search in it before it scans one spanning window
+        self.reach = self.smax + self.longest - 1
+        self.max_windows = np.minimum(self.size, MAX_WINDOWS)
+        self.queued = np.logical_and.reduceat(queued, first)
         # the key of start s in class c is base[c] + s
-        self.base = np.cumsum(span) - span - self.smin
-        self.key = np.repeat(self.base, self.size) + start
-        # the classes of link l are [first_of[l], end_of[l])
-        links = np.arange(n_links)
-        self.first_of = np.searchsorted(link[first], links)
-        self.end_of = np.searchsorted(link[first], links, side="right")
+        self.base = cls[first] << 32
+        # the classes on the link of class c are [link_first[c], link_end[c])
+        cut = np.flatnonzero(link[1:] != link[:-1]) + 1
+        lo, hi = np.concatenate([[0], cut]), np.concatenate([cut, [len(link)]])
+        self.link_first, self.link_end = np.repeat(lo, hi - lo), np.repeat(hi, hi - lo)
 
-    def conflicts(self, q: dict[str, np.ndarray], store: dict[str, np.ndarray]) -> np.ndarray:
-        """Edges of the query rows `q` to earlier vids of other colors, as
-        sorted unique codes (later vid << 32 | earlier vid)."""
+    def conflicts(self, pos: np.ndarray, store: dict[str, np.ndarray]) -> np.ndarray:
+        """Edges of the queued rows at the ascending store positions `pos`
+        to rows of other colors, as codes (later vid << 32 | earlier vid).
+        A queued row meets every stored row of a class that holds joined
+        rows. In a class of queued rows only, it meets the rows after it in
+        its own class and every row of a shorter period, so a pair of queued
+        rows is met once per shared link, or twice where a joined row shares
+        its class."""
+        q = {name: store[name][pos] for name in ("start", "end", "vc")}
+        own = np.searchsorted(self.first, pos, side="right") - 1
         # one pair per query row and class on its link
-        first = self.first_of[q["link"]]
-        qi, k = _ragged(self.end_of[q["link"]] - first)
+        first = self.link_first[own]
+        qi, k = _ragged(self.link_end[own] - first)
         c = first[qi] + k
+        # a queued-only class of a longer period meets this row from its side
+        met = ~self.queued[c] | (c <= own[qi])
+        qi, c = qi[met], c[met]
         sa, ea = q["start"][qi], q["end"][qi]
-        pa, pb, longest = q["period"][qi].astype(np.int64), self.period[c], self.longest[c]
+        pa, pb, longest = self.period[own[qi]], self.period[c], self.longest[c]
         g = np.gcd(pa, pb)
         h = pa // g * pb
+        band_lo, band_hi = pa - h, h - pb
         # the multiples m of g that some row of the class can satisfy, within
-        # the band periodic_overlap allows
-        lo = np.maximum(sa - self.smax[c] - longest + 1, pa - h)
-        hi = np.minimum(ea - self.smin[c] - 1, h - pb)
+        # the band of achievable start differences
+        lo = np.maximum(sa - self.reach[c], band_lo)
+        hi = np.minimum(ea - self.smin[c] - 1, band_hi)
         m_first = -(-lo // g) * g
         m_last = hi // g * g
         n_win = np.maximum((m_last - m_first) // g + 1, 0)
         # one spanning window when the windows touch or outnumber the rows
-        spanning = (g <= ea - sa + longest - 1) | (
-            n_win > np.minimum(self.size[c], MAX_WINDOWS)
-        )
-        n_win[spanning] = np.minimum(n_win[spanning], 1)
-
-        # the window of multiple m holds the starts in [sa - m - longest + 1, ea - m)
+        spanning = (g <= ea - sa + longest - 1) | (n_win > self.max_windows[c])
+        np.minimum(n_win, 1, out=n_win, where=spanning)
+        # the window of multiple m holds the starts in [sa - m - longest + 1,
+        # ea - m), a spanning one those from m_last's first to m_first's
+        # last; the k-th window of a pair lies k * g below the first
+        lowest = sa - longest + 1 - np.where(spanning, m_last, m_first)
+        highest = ea - m_first
         w, k = _ragged(n_win)
-        m_top = np.where(spanning[w], m_last[w], m_first[w] + k * g[w])
-        m_bot = np.where(spanning[w], m_first[w], m_top)
+        kg = k * g[w]
         cw = c[w]
-        floor, ceil = self.smin[cw], self.smax[cw] + 1
-        start_lo = np.clip(sa[w] - m_top - longest[w] + 1, floor, ceil)
-        start_hi = np.clip(ea[w] - m_bot, floor, ceil)
-        row_lo = np.searchsorted(self.key, self.base[cw] + start_lo)
-        n_cand = np.maximum(np.searchsorted(self.key, self.base[cw] + start_hi) - row_lo, 0)
+        base = self.base[cw]
+        # clipped to the class's block of keys
+        row_lo = np.searchsorted(self.key, base + np.clip(lowest[w] - kg, 0, _LOW + 1))
+        row_hi = np.searchsorted(self.key, base + np.clip(highest[w] - kg, 0, _LOW + 1))
         owner = qi[w]
+        # in its own queued-only class a row looks only at the rows after it
+        after = self.queued[cw] & (cw == own[owner])
+        row_lo[after] = np.maximum(row_lo[after], pos[owner[after]] + 1)
+        n_cand = np.maximum(row_hi - row_lo, 0)
 
         codes = [np.empty(0, dtype=np.int64)]
         total = np.cumsum(n_cand)
@@ -157,20 +208,18 @@ class _Classes:
             total, np.arange(CANDIDATE_CHUNK, total[-1] if len(total) else 0, CANDIDATE_CHUNK)
         )
         for a, b in zip([0, *cuts], [*cuts, len(n_cand)]):
-            wi, k = _ragged(n_cand[a:b])
-            j = row_lo[a:b][wi] + k
-            r = owner[a:b][wi]
-            keep = (store["vid"][j] < q["vid"][r]) & (store["color"][j] != q["color"][r])
-            j, r = j[keep], r[keep]
-            hit = periodic_overlap(
-                q["start"][r], q["end"][r], q["period"][r].astype(np.int64),
-                store["start"][j], store["end"][j], store["period"][j].astype(np.int64),
+            n = n_cand[a:b]
+            p = np.repeat(w[a:b], n)  # the candidates' (query row, class) pairs
+            j = np.repeat(row_lo[a:b] - (np.cumsum(n) - n), n) + np.arange(len(p))
+            hit = overlap_in_band(
+                sa[p], ea[p], store["start"][j], store["end"][j], g[p], band_lo[p], band_hi[p]
             )
-            codes.append(q["vid"][r[hit]].astype(np.int64) << 32 | store["vid"][j[hit]])
-        # a pair that conflicts on several links is found once per link;
-        # sort and drop repeats (np.unique hashes first, and is slower)
-        codes = np.sort(np.concatenate(codes))
-        return codes[np.diff(codes, prepend=-1) != 0]
+            vc, qvc = store["vc"][j[hit]], q["vc"][qi[p[hit]]]
+            keep = ((vc ^ qvc) & _LOW) != 0  # no edges within a color
+            vc, qvc = vc[keep], qvc[keep]
+            # the vid sits in the high bits, so the larger vc is the later vid
+            codes.append(np.maximum(vc, qvc) & ~_LOW | np.minimum(vc, qvc) >> 32)
+        return np.concatenate(codes)
 
 
 class ConflictGraph:
@@ -187,6 +236,7 @@ class ConflictGraph:
         # the intervals of the joined vertices, sorted by (link, period, start)
         self._store = {name: np.empty(0, dtype=t) for name, t in _COLUMNS.items()}
         self._joined = 0  # vids from here on are queued
+        self._periods = np.empty(0, dtype=np.int64)  # the periods the keys rank
         # live edges as (earlier vid, later vid), ordered by the later vid
         self._lo = np.empty(0, dtype=np.int64)
         self._hi = np.empty(0, dtype=np.int64)
@@ -270,33 +320,76 @@ class ConflictGraph:
         return n - self._n
 
     def join_queued(self) -> None:
-        """Append the edges of every queued vertex. The queued intervals
-        join the store first, so they meet each other too; the pass runs in
-        chunks of whole vertices."""
+        """Append the edges of every queued vertex. The queued rows are
+        sorted on their own and merged into the sorted store, so they meet
+        each other too; the pass runs in chunks of queued rows."""
         first = self._joined
         if first == self._n:
             return
-        self._joined = self._n
         new = self._queued_rows(first)
-        store = {name: np.concatenate([col, new[name]])
-                 for name, col in self._store.items()}
-        order = np.lexsort((store["start"], store["period"], store["link"]))
-        store = self._store = {name: col[order] for name, col in store.items()}
-        del order  # free it before the pass, as the rebinding freed the unsorted copy
-        classes = _Classes(store, len(self._link_code))
-        vid = new["vid"]
-        cuts = np.unique(np.searchsorted(vid, vid[::JOIN_CHUNK]))
+        periods = np.unique([stream.period for stream, _ in self._colors.values()])
+        if len(periods) * len(self._link_code) > 1 << 31 or not (
+            0 <= new["start"].min(initial=0) and new["start"].max(initial=0) <= _LOW
+        ):
+            raise OverflowError("the interval store key does not fit in 63 bits")
+        self._joined = self._n
+        if not np.array_equal(periods, self._periods):  # the keys rank the periods
+            key, start = self._store["key"], self._store["start"]
+            self._store["key"] = _store_keys(*_key_class(key, self._periods), start, periods)
+            self._periods = periods
+        new["key"] = _store_keys(new.pop("link"), new.pop("period"), new["start"], periods)
+        # rows of equal key may take any order: neither the search nor its
+        # edges depend on it
+        order = np.argsort(new["key"])
+        old = self._store
+        n_old, n_new = len(old["key"]), len(order)
+        if n_old == 0:  # an offline batch: the sorted queued rows are the store
+            store = {name: col[order] for name, col in new.items()}
+            pos = np.arange(n_new)
+            queued = np.ones(n_new, dtype=bool)
+        else:
+            # each sorted queued row goes after the stored rows of equal key;
+            # `pos` are their rows in the merged store, the rest take the others
+            pos = np.searchsorted(old["key"], new["key"][order], side="right")
+            pos += np.arange(n_new)
+            queued = np.zeros(n_old + n_new, dtype=bool)
+            queued[pos] = True
+            rest = np.flatnonzero(~queued)
+            dest = np.empty(n_new, dtype=np.int64)
+            dest[order] = pos
+            store = {name: np.empty(n_old + n_new, dtype=t) for name, t in _COLUMNS.items()}
+            for name, col in store.items():
+                col[rest] = old[name]
+                col[dest] = new[name]
+            del rest, dest
+        del new, order, old  # free them before the pass
+        self._store = store
+        classes = _Classes(store, queued, periods)
+        del queued
         codes = np.concatenate([
-            classes.conflicts({name: col[a:b] for name, col in new.items()}, store)
-            for a, b in zip(cuts, [*cuts[1:], len(vid)])
+            classes.conflicts(pos[a : a + JOIN_CHUNK], store)
+            for a in range(0, n_new, JOIN_CHUNK)
         ])
-        self._lo = np.concatenate([self._lo, codes & 0xFFFFFFFF])
-        self._hi = np.concatenate([self._hi, codes >> 32])
+        del classes, pos
+        # a pair is met once per shared link, and from both sides where a
+        # joined row shares its class: sort and drop repeats (np.unique
+        # hashes first, and is slower)
+        codes.sort()
+        keep = np.ones(len(codes), dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+        codes = codes[keep]
+        del keep
+        hi = codes >> 32
+        codes &= _LOW
+        self._lo = np.concatenate([self._lo, codes])
+        del codes  # before the second half is copied
+        self._hi = np.concatenate([self._hi, hi])
         self._csr = None
 
     def _queued_rows(self, first: int) -> dict[str, np.ndarray]:
-        """Store rows of the vertices from `first` on, in vid order: the
-        entries of each one's shared phase-0 schedule, shifted by its phase."""
+        """Store rows of the vertices from `first` on, in vid order, with
+        their link code and period in place of the key: the entries of each
+        one's shared phase-0 schedule, shifted by its phase."""
         color = self._column("color")[first:].astype(np.int64)
         phase = self._column("phase")[first:]
         # the queued vertices' (color, route index) pairs, one schedule each
@@ -314,11 +407,10 @@ class ConflictGraph:
         period = np.array([stream.period for stream, _ in owners], dtype=np.int64)[which]
         vert, hop = _ragged(hops[which])
         entry = (np.cumsum(hops) - hops)[which][vert] + hop
-        rows = {
+        return {
             "link": link[entry], "period": period[vert], "start": start[entry] + phase[vert],
-            "end": end[entry] + phase[vert], "vid": first + vert, "color": color[vert],
+            "end": end[entry] + phase[vert], "vc": (first + vert) << 32 | color[vert],
         }
-        return {name: rows[name].astype(t) for name, t in _COLUMNS.items()}
 
     def _flush_removals(self) -> None:
         """Drop the rows of removed streams from the vertex columns, the
@@ -328,9 +420,11 @@ class ConflictGraph:
         self._vert = {name: self._column(name)[keep] for name in _VERTEX_COLUMNS}
         self._joined = int(np.count_nonzero(keep[: self._joined]))
         self._n = len(self._vert["color"])
-        rows = keep[self._store["vid"]]
+        vc = self._store["vc"]
+        rows = keep[vc >> 32]
         self._store = {name: col[rows] for name, col in self._store.items()}
-        self._store["vid"] = new_vid[self._store["vid"]].astype(np.int32)
+        vc = self._store["vc"]
+        vc[:] = new_vid[vc >> 32] << 32 | vc & _LOW
         edges = keep[self._lo] & keep[self._hi]
         self._lo, self._hi = new_vid[self._lo[edges]], new_vid[self._hi[edges]]
         self._csr = None

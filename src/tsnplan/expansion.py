@@ -159,15 +159,25 @@ def _unused_phase(rank: int, used: list[int]) -> int:
 
 def _largest_remainder(raws, total: int, order: list[str]) -> dict[str, int]:
     """Integerize nonnegative raw shares so the integer sum equals `total`
-    (assumes the raw sum is `total`). Ties go to earlier batch positions."""
-    floors = {sid: int(math.floor(raws[sid])) for sid in order}
-    remaining = total - sum(floors.values())
-    by_frac = sorted(
-        range(len(order)), key=lambda i: (-(raws[order[i]] - floors[order[i]]), i)
-    )
-    for i in by_frac[:remaining]:
-        floors[order[i]] += 1
-    return floors
+    (assumes the raw sum is `total`). Ties go to earlier batch positions.
+
+    Exact `Fraction` raws are compared as integer numerators over their
+    common denominator, which orders them exactly as the fractions; float
+    raws are compared as floats."""
+    vals = [raws[sid] for sid in order]
+    if all(isinstance(v, Fraction) for v in vals):
+        den = math.lcm(*(v.denominator for v in vals))
+        nums = [v.numerator * (den // v.denominator) for v in vals]
+        floors = [n // den for n in nums]
+        remainders = [n - f * den for n, f in zip(nums, floors)]
+    else:
+        floors = [math.floor(v) for v in vals]
+        remainders = [v - f for v, f in zip(vals, floors)]
+    # a stable sort keeps equal remainders in batch order, reversed or not
+    by_remainder = sorted(range(len(order)), key=remainders.__getitem__, reverse=True)
+    for i in by_remainder[: total - sum(floors)]:
+        floors[i] += 1
+    return dict(zip(order, floors))
 
 
 def _uniform_split(total: int, order: list[str]) -> dict[str, int]:

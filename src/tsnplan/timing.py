@@ -71,9 +71,16 @@ def periodic_overlap(sa, ea, pa, sb, eb, pb):
     """
     g = np.gcd(pa, pb)
     h = pa // g * pb
+    return overlap_in_band(sa, ea, sb, eb, g, pa - h, h - pb)
+
+
+def overlap_in_band(sa, ea, sb, eb, g, band_lo, band_hi):
+    """`periodic_overlap` for a period pair whose g = gcd(pa, pb) and band
+    of achievable start differences [band_lo, band_hi] = [pa - H, H - pb]
+    are already known, so that many intervals of one pair share them."""
     # need a multiple m*g with sa - eb < m*g < ea - sb, within the achievable band
-    lo = np.maximum(sa - eb + 1, -(h - pa))
-    hi = np.minimum(ea - sb - 1, h - pb)
+    lo = np.maximum(sa - eb + 1, band_lo)
+    hi = np.minimum(ea - sb - 1, band_hi)
     return (lo <= hi) & (lo <= hi // g * g)  # any multiple of g in [lo, hi]?
 
 

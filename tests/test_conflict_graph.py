@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsnplan import conflict_graph
 from tsnplan.conflict_graph import (
     PAGERANK_DAMPING,
     PAGERANK_ITERATIONS,
@@ -14,7 +15,7 @@ from tsnplan.conflict_graph import (
     DuplicateConfiguration,
 )
 from tsnplan.expansion import STRATEGIES, ExpansionParams, expand, stream_sums
-from tsnplan.harness import gen_grid, gen_streams, gen_waxman
+from tsnplan.harness import ExperimentConfig, gen_grid, gen_streams, gen_waxman, run_experiment
 from tsnplan.model import StreamBatch
 from tsnplan.routing import candidate_routes
 from tsnplan.timing import brute_force_conflict, frames_conflict, link_occupancy
@@ -69,6 +70,17 @@ def test_insert_into_empty_graph(shared_net):
     g = ConflictGraph()
     v = g.add_configuration(cfg(shared_net, "s0", 0, 0))
     assert g.vertex_count == 1 and g.edge_count == 0 and neighbors(g, v) == []
+
+
+def test_start_beyond_the_key_bits_is_refused(shared_net):
+    """The store key holds a start in 32 bits; a larger one raises before
+    the join changes anything, and the vertex stays queued."""
+    g = ConflictGraph()
+    g.add_configuration(cfg(shared_net, "s0", 0, 0))
+    g.add_configuration(cfg(shared_net, "s1", 1, 1 << 32))
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            g.join_queued()
 
 
 def test_same_phase_shared_link_edge(shared_net):
@@ -333,6 +345,79 @@ def test_join_matches_linear_scan_oracle(topology, periods, seed):
     assert g.edge_count > 0
     assert np.array_equal(g.page_rank(), reference_page_rank(*oracle))
     assert_stream_sums_match_scans(g)
+
+
+@pytest.mark.parametrize("join_chunk", [None, 7], ids=["default-chunk", "chunk-7"])
+@pytest.mark.parametrize(
+    "periods, strategy",
+    [(HARMONIC, "page-rank"), (NON_HARMONIC, "avg-degree")],
+    ids=["harmonic", "non-harmonic"],
+)
+def test_join_matches_linear_scan_oracle_on_updates(monkeypatch, periods, strategy, join_chunk):
+    """Through a dynamic scenario on a 3x3 grid, with deletions and
+    rejections, every join leaves the CSR the oracle builds and a store
+    sorted by (link, period, start). Updates merge queued rows into a
+    non-empty store, and the two-step strategy joins twice per batch, so
+    the second join meets queued vertices of streams that already have
+    joined ones. With 7 rows per chunk one join spans many chunks, and the
+    pairs a row finds from one side only cross the chunk borders."""
+    if join_chunk:
+        monkeypatch.setattr(conflict_graph, "JOIN_CHUNK", join_chunk)
+    join = ConflictGraph.join_queued
+    checking = []  # csr() joins again, with nothing left to join
+
+    def checked_join(g):
+        join(g)
+        if checking:
+            return
+        checking.append(g)
+        assert_joined_as_oracle(g)
+        checking.pop()
+
+    monkeypatch.setattr(ConflictGraph, "join_queued", checked_join)
+    scenario = ExperimentConfig(
+        topology={"kind": "grid", "rows": 3, "cols": 3}, periods=periods,
+        sizes=[1000, 1500], initial_streams=60, iterations=6, add_per_iteration=8,
+        del_per_iteration=5, cps=3, strategy=strategy, seed=3,
+    )
+    metrics, planner = run_experiment(scenario)
+    assert sum(m.rejected for m in metrics[1:]) > 0
+    assert_joined_as_oracle(planner.graph)
+
+
+def test_join_after_the_periods_change(shared_net):
+    """A period new to the graph shifts the ranks that the store keys pack,
+    and so does the removal of a period's last stream: the next join keys
+    the stored rows anew before it merges the queued ones."""
+    g = ConflictGraph()
+    n = 0
+    for periods in ([500, 500], [250, 1000], [500, 2000]):
+        for period in periods:
+            for phase in (0, 7, 130):
+                g.add_configuration(cfg(shared_net, f"s{n}", n % 4, phase, period=period))
+            n += 1
+        g.join_queued()
+        assert_joined_as_oracle(g)
+    g.remove_streams(["s2"])  # the only stream of period 250
+    g.add_configuration(cfg(shared_net, "late", 0, 3, period=1000))
+    g.join_queued()
+    assert_joined_as_oracle(g)
+    assert g.edge_count > 0
+
+
+def assert_joined_as_oracle(g: ConflictGraph) -> None:
+    """The CSR equals the linear-scan oracle's, and the join's interval
+    store is sorted by (link, period, start), with each row's key holding
+    its vertex's period and its start."""
+    for a, b in zip(g.csr(), linear_scan_csr(g)):
+        assert np.array_equal(a, b)
+    store = g._store
+    link, period = conflict_graph._key_class(store["key"], g._periods)
+    order = np.lexsort((store["start"], period, link))
+    assert np.array_equal(order, np.arange(len(order)))
+    assert np.array_equal(store["key"] & 0xFFFFFFFF, store["start"])
+    vids = (store["vc"] >> 32).tolist()
+    assert [g.config(v).stream.period for v in vids] == period.tolist()
 
 
 def assert_stream_sums_match_scans(g: ConflictGraph) -> None:

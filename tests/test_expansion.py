@@ -22,6 +22,7 @@ from tsnplan.expansion import (
     randomized_enumeration,
     raw_traffic_volume,
     remaining_budget,
+    _largest_remainder,
     _metric_budget,
 )
 from tsnplan.harness import gen_ring
@@ -37,6 +38,7 @@ from conftest import (
     shared_link_net,
     through_route,
 )
+from budget_oracle import oracle_largest_remainder
 from enumeration_oracle import oracle_randomized_enumeration
 
 
@@ -276,6 +278,36 @@ def test_metric_budget_page_rank_example():
         "s1": 0,
         "s2": 8,
     }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 30), st.integers(1, 8)), max_size=10),
+    st.booleans(),
+    st.integers(0, 10),
+)
+def test_largest_remainder_matches_oracle(shares, as_float, extra):
+    """Exact and float raws round as the oracle's sort of the raws' own
+    fractional parts does. Small numerators and denominators make many
+    equal remainders, so the batch-order tie-break is exercised."""
+    raws = [Fraction(n, d) for n, d in shares]
+    if as_float:
+        raws = [float(r) for r in raws]
+    order = [f"s{i}" for i in range(len(raws))]
+    total = sum(math.floor(r) for r in raws) + extra
+    got = _largest_remainder(dict(zip(order, raws)), total, order)
+    assert got == oracle_largest_remainder(dict(zip(order, raws)), total, order)
+    assert list(got) == order
+
+
+def test_largest_remainder_ties_go_to_earlier_streams():
+    thirds = {sid: Fraction(2, 3) for sid in "abc"}
+    assert _largest_remainder(thirds, 2, list("abc")) == {"a": 1, "b": 1, "c": 0}
+    assert _largest_remainder({"a": 0.5, "b": 1.5}, 2, ["a", "b"]) == {"a": 1, "b": 1}
+    # over the common denominator 6 the remainders are 2, 3 and 1
+    assert _largest_remainder(
+        {"a": Fraction(1, 3), "b": Fraction(1, 2), "c": Fraction(7, 6)}, 2, list("abc")
+    ) == {"a": 0, "b": 1, "c": 1}
 
 
 def test_budget_avg_degree_and_page_rank_on_empty_graph():
