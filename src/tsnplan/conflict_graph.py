@@ -79,6 +79,10 @@ _COLUMNS = {"key": np.int64, "start": np.int64, "end": np.int64, "vc": np.int64}
 _VERTEX_COLUMNS = {"color": np.int32, "route": np.int32, "phase": np.int64}
 #: the low 32 bits, which hold a store key's start and a `vc`'s color code
 _LOW = (1 << 32) - 1
+#: the most (link, period) classes a store key can number: the keys of class
+#: c lie below (c + 1) << 32, which a window search adds and must stay below
+#: 2**63
+_MAX_CLASSES = (1 << 31) - 1
 
 
 class DuplicateConfiguration(Exception):
@@ -328,7 +332,7 @@ class ConflictGraph:
             return
         new = self._queued_rows(first)
         periods = np.unique([stream.period for stream, _ in self._colors.values()])
-        if len(periods) * len(self._link_code) > 1 << 31 or not (
+        if len(periods) * len(self._link_code) > _MAX_CLASSES or not (
             0 <= new["start"].min(initial=0) and new["start"].max(initial=0) <= _LOW
         ):
             raise OverflowError("the interval store key does not fit in 63 bits")
@@ -343,26 +347,20 @@ class ConflictGraph:
         order = np.argsort(new["key"])
         old = self._store
         n_old, n_new = len(old["key"]), len(order)
-        if n_old == 0:  # an offline batch: the sorted queued rows are the store
-            store = {name: col[order] for name, col in new.items()}
-            pos = np.arange(n_new)
-            queued = np.ones(n_new, dtype=bool)
-        else:
-            # each sorted queued row goes after the stored rows of equal key;
-            # `pos` are their rows in the merged store, the rest take the others
-            pos = np.searchsorted(old["key"], new["key"][order], side="right")
-            pos += np.arange(n_new)
-            queued = np.zeros(n_old + n_new, dtype=bool)
-            queued[pos] = True
-            rest = np.flatnonzero(~queued)
-            dest = np.empty(n_new, dtype=np.int64)
-            dest[order] = pos
-            store = {name: np.empty(n_old + n_new, dtype=t) for name, t in _COLUMNS.items()}
-            for name, col in store.items():
-                col[rest] = old[name]
-                col[dest] = new[name]
-            del rest, dest
-        del new, order, old  # free them before the pass
+        # each sorted queued row goes after the stored rows of equal key;
+        # `pos` are their rows in the merged store, the rest take the others
+        pos = np.searchsorted(old["key"], new["key"][order], side="right")
+        pos += np.arange(n_new)
+        queued = np.zeros(n_old + n_new, dtype=bool)
+        queued[pos] = True
+        rest = np.flatnonzero(~queued)
+        dest = np.empty(n_new, dtype=np.int64)
+        dest[order] = pos
+        store = {name: np.empty(n_old + n_new, dtype=t) for name, t in _COLUMNS.items()}
+        for name, col in store.items():
+            col[rest] = old[name]
+            col[dest] = new[name]
+        del rest, dest, new, order, old  # free them before the pass
         self._store = store
         classes = _Classes(store, queued, periods)
         del queued

@@ -161,18 +161,14 @@ def _largest_remainder(raws, total: int, order: list[str]) -> dict[str, int]:
     """Integerize nonnegative raw shares so the integer sum equals `total`
     (assumes the raw sum is `total`). Ties go to earlier batch positions.
 
-    Exact `Fraction` raws are compared as integer numerators over their
-    common denominator, which orders them exactly as the fractions; float
-    raws are compared as floats."""
-    vals = [raws[sid] for sid in order]
-    if all(isinstance(v, Fraction) for v in vals):
-        den = math.lcm(*(v.denominator for v in vals))
-        nums = [v.numerator * (den // v.denominator) for v in vals]
-        floors = [n // den for n in nums]
-        remainders = [n - f * den for n, f in zip(nums, floors)]
-    else:
-        floors = [math.floor(v) for v in vals]
-        remainders = [v - f for v, f in zip(vals, floors)]
+    The raws, ints, floats or `Fraction`s, are compared exactly, as integer
+    numerators over their common denominator. For a float v >= 0, v -
+    floor(v) is exact, so floats order as their own remainders do."""
+    ratios = [raws[sid].as_integer_ratio() for sid in order]
+    den = math.lcm(*(d for _, d in ratios))
+    nums = [n * (den // d) for n, d in ratios]
+    floors = [n // den for n in nums]
+    remainders = [n - f * den for n, f in zip(nums, floors)]
     # a stable sort keeps equal remainders in batch order, reversed or not
     by_remainder = sorted(range(len(order)), key=remainders.__getitem__, reverse=True)
     for i in by_remainder[: total - sum(floors)]:

@@ -83,6 +83,39 @@ def test_start_beyond_the_key_bits_is_refused(shared_net):
             g.join_queued()
 
 
+def test_class_count_at_the_key_bound(shared_net, monkeypatch):
+    """A join may number exactly `_MAX_CLASSES` (link, period) classes; one
+    more raises before the join changes anything."""
+    configs = [cfg(shared_net, "s0", 0, 0), cfg(shared_net, "s1", 1, 0, period=200)]
+    g = ConflictGraph()
+    for c in configs:
+        g.add_configuration(c)
+    assert g.edge_count == 1
+    classes = len(g._link_code) * len(g._periods)
+    monkeypatch.setattr(conflict_graph, "_MAX_CLASSES", classes - 1)
+    g = ConflictGraph()
+    for c in configs:
+        g.add_configuration(c)
+    with pytest.raises(OverflowError):
+        g.join_queued()
+    monkeypatch.setattr(conflict_graph, "_MAX_CLASSES", classes)
+    assert g.edge_count == 1
+
+
+def test_window_search_in_the_highest_class():
+    """The highest class number a join allows still finds its windows. Two
+    intervals that end past the 32 start bits clip the window's upper key
+    to the class's base plus 2**32, which must stay below 2**63."""
+    cls = conflict_graph._MAX_CLASSES - 1
+    start = np.array([conflict_graph._LOW - 8, conflict_graph._LOW - 3])
+    store = {
+        "key": cls << 32 | start, "start": start, "end": start + 10,
+        "vc": np.arange(2) << 32 | np.arange(2),
+    }
+    classes = conflict_graph._Classes(store, np.ones(2, dtype=bool), np.array([1 << 33]))
+    assert classes.conflicts(np.arange(2), store).tolist() == [1 << 32 | 0]
+
+
 def test_same_phase_shared_link_edge(shared_net):
     g = ConflictGraph()
     u = g.add_configuration(cfg(shared_net, "s0", 0, 0))

@@ -283,21 +283,35 @@ def test_metric_budget_page_rank_example():
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 30), st.integers(1, 8)), max_size=10),
-    st.booleans(),
+    st.sampled_from(["fraction", "float", "mixed"]),
     st.integers(0, 10),
 )
-def test_largest_remainder_matches_oracle(shares, as_float, extra):
-    """Exact and float raws round as the oracle's sort of the raws' own
-    fractional parts does. Small numerators and denominators make many
-    equal remainders, so the batch-order tie-break is exercised."""
+def test_largest_remainder_matches_oracle(shares, kind, extra):
+    """Exact, float and mixed int/Fraction raws round as the oracle's sort
+    of the raws' own fractional parts does. Small numerators and
+    denominators make many equal remainders, so the batch-order tie-break
+    is exercised."""
     raws = [Fraction(n, d) for n, d in shares]
-    if as_float:
+    if kind == "float":
         raws = [float(r) for r in raws]
+    elif kind == "mixed":
+        raws = [int(r) if r.denominator == 1 else r for r in raws]
     order = [f"s{i}" for i in range(len(raws))]
     total = sum(math.floor(r) for r in raws) + extra
     got = _largest_remainder(dict(zip(order, raws)), total, order)
     assert got == oracle_largest_remainder(dict(zip(order, raws)), total, order)
     assert list(got) == order
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0, 1e3), max_size=10), st.integers(0, 10))
+def test_largest_remainder_matches_oracle_on_any_floats(raws, extra):
+    """Floats of any exponent, subnormals included, order as their float
+    remainders do: v - floor(v) is exact for v >= 0."""
+    order = [f"s{i}" for i in range(len(raws))]
+    total = sum(math.floor(r) for r in raws) + extra
+    got = _largest_remainder(dict(zip(order, raws)), total, order)
+    assert got == oracle_largest_remainder(dict(zip(order, raws)), total, order)
 
 
 def test_largest_remainder_ties_go_to_earlier_streams():
