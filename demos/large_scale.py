@@ -12,14 +12,20 @@ each adding `--add` new streams and deleting `--delete` admitted ones; the
 per-update latency is then printed as well:
 
     python demos/large_scale.py --bridges 64 --streams 2000 --iterations 10
+
+Every batch's plan is checked with the oracle `validate_plan`, timed apart
+from the phases; the demo exits with status 1 if any plan has a problem.
 """
 
 import argparse
 import resource
 import statistics
+import sys
 import time
 
-from tsnplan.harness import ExperimentConfig, run_experiment
+from tsnplan.harness import ExperimentConfig, build_scenario, build_topology
+from tsnplan.model import StreamBatch
+from tsnplan.solver import Planner, validate_plan
 
 
 def main():
@@ -46,7 +52,17 @@ def main():
         seed=args.seed,
     )
     t0 = time.perf_counter()
-    metrics, _ = run_experiment(cfg)
+    net = build_topology(cfg)
+    planner = Planner(net, cfg.expansion_params(), k_routes=cfg.k_routes)
+    metrics, validate_ms, problems = [], [], []
+    for batch in build_scenario(cfg, net):
+        # the scenario deletes streams as if none was rejected
+        delete = [d for d in batch.delete if d in planner.state.admitted]
+        metrics.append(planner.iterate(StreamBatch(batch.iteration, batch.add, delete)))
+        t = time.perf_counter()
+        found = validate_plan(net, planner.state.plan)
+        validate_ms.append((time.perf_counter() - t) * 1000)
+        problems += [f"batch {batch.iteration}: {p}" for p in found]
     m = metrics[0]
     print(f"{args.streams} streams on {args.bridges} bridges "
           f"({args.strategy}, cps={args.cps}):")
@@ -68,10 +84,16 @@ def main():
         for phase in ("routing", "expansion", "solving"):
             p50 = statistics.median(getattr(u, f"{phase}_ms") for u in updates)
             print(f"  {phase:<11} p50 {p50:.0f} ms")
+    print(f"  validate    {len(validate_ms)} plans, {len(problems)} problems, "
+          f"total {sum(validate_ms) / 1000:.1f} s, max {max(validate_ms):.0f} ms")
     print(f"  wall clock  {time.perf_counter() - t0:.1f} s")
     # ru_maxrss is in KiB on Linux
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"  peak RSS    {peak:.0f} MiB")
+    for p in problems[:10]:
+        print(f"  problem     {p}")
+    if problems:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -38,13 +38,13 @@ pb / pa, and an offline batch, where every row is queued, finds each pair
 once per shared link. The edges are sorted and deduplicated once per join.
 
 A vertex is a row of integer columns: color code, route index and phase.
-Each live (stream, route index) keeps one route and phase-0 schedule, from
-which `config` builds a `Configuration`. The edges are one pair of int64
-arrays, (earlier vid, later vid), ordered by the later vid and then the
-earlier one; a join appends its edges in that order. Removing streams
-flushes their rows and compacts the other ids, in order, by one cumsum remap
-of the columns, the store and the pair: a vid stays valid until the next
-removal. The CSR adjacency (indptr, indices) is built from the pair.
+Each live (stream, route index) keeps its route and phase-0 schedule, for
+`config`, and the schedule's (link code, period, start, end) rows as one
+array, which a join shifts by each queued phase. The edges live only in the
+CSR (indptr, indices) of the joined vertices. A new edge's later vid is
+queued, so a join sorts the new arcs as (row, column) keys and appends them
+to the old rows. Removing streams masks out their rows and arcs and
+compacts the other ids in order: a vid stays valid until the next removal.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ import numpy as np
 
 from .model import Stream
 from .routing import Route
-# link_occupancy is not called here: the graph shifts each configuration's
-# shared phase-0 schedule by its phase. perfbench/tracing.py still wraps the
-# name in this namespace and fails a traced run when it is missing.
+# link_occupancy is not called here, but perfbench/tracing.py wraps the name
+# in this namespace and fails a traced run when it is missing.
 from .timing import OccupancySchedule, link_occupancy, overlap_in_band  # noqa: F401
 
 PAGERANK_DAMPING = 0.85
@@ -208,9 +207,8 @@ class _Classes:
 
         codes = [np.empty(0, dtype=np.int64)]
         total = np.cumsum(n_cand)
-        cuts = np.searchsorted(
-            total, np.arange(CANDIDATE_CHUNK, total[-1] if len(total) else 0, CANDIDATE_CHUNK)
-        )
+        stops = np.arange(CANDIDATE_CHUNK, total[-1] if len(total) else 0, CANDIDATE_CHUNK)
+        cuts = np.searchsorted(total, stops)
         for a, b in zip([0, *cuts], [*cuts, len(n_cand)]):
             n = n_cand[a:b]
             p = np.repeat(w[a:b], n)  # the candidates' (query row, class) pairs
@@ -229,7 +227,8 @@ class _Classes:
 class ConflictGraph:
     def __init__(self):
         self._color_code: dict[str, int] = {}  # live stream id -> color code
-        # live color code -> (stream, {route index: (route, schedule, phases)})
+        # live color code -> (stream, {route index: (route, schedule, phases,
+        # its link codes, period, starts and ends as one 4 x hops array)})
         self._colors: dict[int, tuple[Stream, dict]] = {}
         self._link_code: dict[tuple[str, str], int] = {}
         # one row per vertex; the arrays grow by doubling, so only the first
@@ -241,10 +240,9 @@ class ConflictGraph:
         self._store = {name: np.empty(0, dtype=t) for name, t in _COLUMNS.items()}
         self._joined = 0  # vids from here on are queued
         self._periods = np.empty(0, dtype=np.int64)  # the periods the keys rank
-        # live edges as (earlier vid, later vid), ordered by the later vid
-        self._lo = np.empty(0, dtype=np.int64)
-        self._hi = np.empty(0, dtype=np.int64)
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        # the edges, as the adjacency of the joined vertices
+        self._indptr = np.zeros(1, dtype=np.int64)
+        self._indices = np.empty(0, dtype=np.int64)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -261,7 +259,7 @@ class ConflictGraph:
     @property
     def edge_count(self) -> int:
         self.join_queued()
-        return len(self._lo)
+        return len(self._indices) // 2
 
     def colors(self) -> set[str]:
         return set(self._color_code)
@@ -285,7 +283,7 @@ class ConflictGraph:
     def config(self, vid: int) -> Configuration:
         color, route_index, phase = (int(self._column(name)[vid]) for name in _VERTEX_COLUMNS)
         stream, routes = self._colors[color]
-        route, schedule, _ = routes[route_index]
+        route, schedule = routes[route_index][:2]
         return Configuration(stream, route_index, route, phase, schedule)
 
     # -- mutation ----------------------------------------------------------
@@ -298,7 +296,11 @@ class ConflictGraph:
         if code == self._added:
             self._colors[code] = (cfg.stream, {})
         routes = self._colors[code][1]
-        phases = routes.setdefault(cfg.route_index, (cfg.route, cfg.schedule, set()))[2]
+        if cfg.route_index not in routes:
+            links, p = self._link_code, cfg.stream.period
+            rows = [(links.setdefault(k, len(links)), p, s, e) for k, s, e in cfg.schedule.entries]
+            routes[cfg.route_index] = (cfg.route, cfg.schedule, set(), np.array(rows).T)
+        phases = routes[cfg.route_index][2]
         if cfg.phase in phases:
             raise DuplicateConfiguration(f"{cfg.key} already present")
         phases.add(cfg.phase)
@@ -309,7 +311,6 @@ class ConflictGraph:
             self._vert[name][vid] = value
         self._n += 1
         self._added += 1
-        self._csr = None
         return vid
 
     def remove_streams(self, stream_ids: Iterable[str]) -> int:
@@ -324,9 +325,9 @@ class ConflictGraph:
         return n - self._n
 
     def join_queued(self) -> None:
-        """Append the edges of every queued vertex. The queued rows are
-        sorted on their own and merged into the sorted store, so they meet
-        each other too; the pass runs in chunks of queued rows."""
+        """Add the edges of every queued vertex to the CSR. The queued rows
+        are sorted on their own and merged into the sorted store, so they
+        meet each other too; the pass runs in chunks of queued rows."""
         first = self._joined
         if first == self._n:
             return
@@ -346,43 +347,49 @@ class ConflictGraph:
         # edges depend on it
         order = np.argsort(new["key"])
         old = self._store
-        n_old, n_new = len(old["key"]), len(order)
         # each sorted queued row goes after the stored rows of equal key;
         # `pos` are their rows in the merged store, the rest take the others
         pos = np.searchsorted(old["key"], new["key"][order], side="right")
-        pos += np.arange(n_new)
-        queued = np.zeros(n_old + n_new, dtype=bool)
+        pos += np.arange(len(pos))
+        queued = np.zeros(len(old["key"]) + len(pos), dtype=bool)
         queued[pos] = True
-        rest = np.flatnonzero(~queued)
-        dest = np.empty(n_new, dtype=np.int64)
-        dest[order] = pos
-        store = {name: np.empty(n_old + n_new, dtype=t) for name, t in _COLUMNS.items()}
+        store = {name: np.empty(len(queued), dtype=t) for name, t in _COLUMNS.items()}
         for name, col in store.items():
-            col[rest] = old[name]
-            col[dest] = new[name]
-        del rest, dest, new, order, old  # free them before the pass
+            col[pos], col[~queued] = new[name][order], old[name]
+        del new, order, old  # free them before the pass
         self._store = store
         classes = _Classes(store, queued, periods)
         del queued
         codes = np.concatenate([
             classes.conflicts(pos[a : a + JOIN_CHUNK], store)
-            for a in range(0, n_new, JOIN_CHUNK)
+            for a in range(0, len(pos), JOIN_CHUNK)
         ])
         del classes, pos
-        # a pair is met once per shared link, and from both sides where a
-        # joined row shares its class: sort and drop repeats (np.unique
-        # hashes first, and is slower)
+        # a pair is met once per shared link, or from both sides where a joined
+        # row shares its class: drop repeats (np.unique hashes, and is slower)
         codes.sort()
         keep = np.ones(len(codes), dtype=bool)
         np.not_equal(codes[1:], codes[:-1], out=keep[1:])
         codes = codes[keep]
-        del keep
-        hi = codes >> 32
-        codes &= _LOW
-        self._lo = np.concatenate([self._lo, codes])
-        del codes  # before the second half is copied
-        self._hi = np.concatenate([self._hi, hi])
-        self._csr = None
+        # each edge is two arcs, (later vid, earlier vid) and its twin; as
+        # keys row << 32 | column, the sorted new arcs form ascending rows
+        keys = np.concatenate([codes, codes & _LOW])
+        keys[len(codes) :] <<= 32
+        keys[len(codes) :] |= codes >> 32
+        del codes, keep
+        keys.sort()
+        old = self._indices
+        # old arcs before each row boundary; a row's new arcs follow its old ones
+        ends = np.concatenate([self._indptr, np.full(self._n - first, len(old))])
+        at = ends[(keys >> 32) + 1] + np.arange(len(keys)) if len(old) else None
+        self._indptr = ends + np.searchsorted(keys, np.arange(self._n + 1) << 32)
+        keys &= _LOW
+        self._indices = keys
+        if at is not None:
+            fresh = np.zeros(len(old) + len(at), dtype=bool)
+            fresh[at] = True
+            self._indices = np.empty(len(fresh), dtype=np.int64)
+            self._indices[at], self._indices[~fresh] = keys, old
 
     def _queued_rows(self, first: int) -> dict[str, np.ndarray]:
         """Store rows of the vertices from `first` on, in vid order, with
@@ -392,56 +399,49 @@ class ConflictGraph:
         phase = self._column("phase")[first:]
         # the queued vertices' (color, route index) pairs, one schedule each
         pairs, which = np.unique(color << 32 | self._column("route")[first:], return_inverse=True)
-        owners = [self._colors[p >> 32] for p in pairs.tolist()]
-        scheds = [routes[p & 0xFFFFFFFF][1] for (_, routes), p in zip(owners, pairs.tolist())]
-        code = self._link_code
-        entries = [e for s in scheds for e in s.entries]
-        link = np.array(
-            [code.setdefault(key, len(code)) for key, _, _ in entries], dtype=np.int64
-        )
-        start = np.array([s for _, s, _ in entries], dtype=np.int64)
-        end = np.array([e for _, _, e in entries], dtype=np.int64)
-        hops = np.array([len(s.entries) for s in scheds], dtype=np.int64)
-        period = np.array([stream.period for stream, _ in owners], dtype=np.int64)[which]
+        occupancy = [self._colors[p >> 32][1][p & _LOW][3] for p in pairs.tolist()]
+        link, period, start, end = np.concatenate(occupancy, axis=1)
+        hops = np.array([o.shape[1] for o in occupancy], dtype=np.int64)
         vert, hop = _ragged(hops[which])
         entry = (np.cumsum(hops) - hops)[which][vert] + hop
         return {
-            "link": link[entry], "period": period[vert], "start": start[entry] + phase[vert],
+            "link": link[entry], "period": period[entry], "start": start[entry] + phase[vert],
             "end": end[entry] + phase[vert], "vc": (first + vert) << 32 | color[vert],
         }
 
     def _flush_removals(self) -> None:
         """Drop the rows of removed streams from the vertex columns, the
-        store and the edge pair, and renumber the other vertices in order."""
+        store and the CSR, and renumber the other vertices in order."""
         keep = np.isin(self._column("color"), list(self._colors))
         new_vid = np.cumsum(keep) - 1
+        indptr, indices = self._indptr, self._indices
+        kept, deg = keep[: self._joined], np.diff(indptr)
+        # an arc stays when its column and its row stay; the arcs of the
+        # removed rows are the twins of the arcs the kept rows lose
+        owner, rank = _ragged(deg[~kept])
+        lost = indptr[:-1][~kept][owner] + rank
+        arcs = keep[indices]
+        arcs[lost] = False
+        deg -= np.bincount(indices[lost], minlength=len(deg))
+        self._indptr = np.concatenate([[0], np.cumsum(deg[kept])])
+        self._indices = new_vid[indices[arcs]]
         self._vert = {name: self._column(name)[keep] for name in _VERTEX_COLUMNS}
-        self._joined = int(np.count_nonzero(keep[: self._joined]))
+        self._joined = int(np.count_nonzero(kept))
         self._n = len(self._vert["color"])
         vc = self._store["vc"]
         rows = keep[vc >> 32]
         self._store = {name: col[rows] for name, col in self._store.items()}
         vc = self._store["vc"]
         vc[:] = new_vid[vc >> 32] << 32 | vc & _LOW
-        edges = keep[self._lo] & keep[self._hi]
-        self._lo, self._hi = new_vid[self._lo[edges]], new_vid[self._hi[edges]]
-        self._csr = None
 
     # -- derived structure and metrics -------------------------------------
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency as (indptr, indices) over the vertices: the neighbours of
-        v are indices[indptr[v]:indptr[v + 1]], in ascending order. The pair
-        is ordered by the later vid and then the earlier one, so a stable sort
-        by row lists each row's lower neighbours, then its higher ones."""
-        if self._csr is None:  # a removal or insertion drops the cache
-            self.join_queued()
-            lo, hi = self._lo, self._hi
-            rows = np.concatenate([hi, lo])
-            indices = np.concatenate([lo, hi])[np.argsort(rows, kind="stable")]
-            counts = np.bincount(rows, minlength=self._n)
-            self._csr = (np.concatenate([[0], np.cumsum(counts)]), indices)
-        return self._csr
+        v are indices[indptr[v]:indptr[v + 1]], in ascending order: the only
+        edge store, kept across updates, once the queued vertices are joined."""
+        self.join_queued()
+        return self._indptr, self._indices
 
     def page_rank(self) -> np.ndarray:
         """Power iteration treating each edge as two directed arcs; degree-0

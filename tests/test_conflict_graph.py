@@ -291,10 +291,11 @@ def graph_scenario(draw):
     return specs, list(zip(order, after))
 
 
-def build_scenario_graph(net, specs, steps, read_each: bool) -> ConflictGraph:
+def build_scenario_graph(net, specs, steps, read_each: bool, check=None) -> ConflictGraph:
     """Replay the scenario's insertions, reads and removals; with
-    `read_each`, also read the edges after every insertion. A removed color
-    gets no more configurations."""
+    `read_each`, also read the edges after every insertion, and with
+    `check`, call it on the graph after each step's insertion and action.
+    A removed color gets no more configurations."""
     g = ConflictGraph()
     removed, added = set(), set()
     for (c, phi), after in steps:
@@ -311,6 +312,8 @@ def build_scenario_graph(net, specs, steps, read_each: bool) -> ConflictGraph:
             g.csr()
         elif after is not None and g.remove_streams([f"s{after}"]):
             removed.add(after)
+        if check:
+            check(g)
     return g
 
 
@@ -325,6 +328,11 @@ def test_edges_match_pairwise_predicate_and_rebuild(scenario):
     eager = build_scenario_graph(net, specs, steps, read_each=True)
     for a, b in zip(g.csr(), eager.csr()):
         assert np.array_equal(a, b)
+
+    # the CSR kept across the updates is the oracle's after every step; a
+    # step's insertion is still queued when its removal comes, so removals
+    # meet joined and queued vertices of one color
+    build_scenario_graph(net, specs, steps, read_each=False, check=assert_csr_as_oracle)
 
     # incremental removal leaves exactly the graph a fresh build produces
     rebuilt = fresh_copy(g)
@@ -418,6 +426,25 @@ def test_join_matches_linear_scan_oracle_on_updates(monkeypatch, periods, strate
     assert_joined_as_oracle(planner.graph)
 
 
+def test_overflowing_join_leaves_the_graph_usable(shared_net):
+    """A join that raises leaves the CSR as it was; removing the stream
+    that made it raise leaves the graph the oracle builds."""
+    g = ConflictGraph()
+    for n in range(4):
+        for phase in (0, 40):
+            g.add_configuration(cfg(shared_net, f"s{n}", n, phase + n))
+    assert g.edge_count > 0
+    before = [a.copy() for a in g.csr()]
+    g.add_configuration(cfg(shared_net, "late", 0, 1 << 32))
+    with pytest.raises(OverflowError):
+        g.join_queued()
+    for a, b in zip((g._indptr, g._indices), before):
+        assert np.array_equal(a, b)
+    assert g.remove_streams(["late"]) == 1
+    assert_csr_as_oracle(g)
+    assert np.array_equal(g.page_rank(), reference_page_rank(*g.csr()))
+
+
 def test_join_after_the_periods_change(shared_net):
     """A period new to the graph shifts the ranks that the store keys pack,
     and so does the removal of a period's last stream: the next join keys
@@ -438,12 +465,23 @@ def test_join_after_the_periods_change(shared_net):
     assert g.edge_count > 0
 
 
-def assert_joined_as_oracle(g: ConflictGraph) -> None:
-    """The CSR equals the linear-scan oracle's, and the join's interval
-    store is sorted by (link, period, start), with each row's key holding
-    its vertex's period and its start."""
-    for a, b in zip(g.csr(), linear_scan_csr(g)):
+def assert_csr_as_oracle(g: ConflictGraph) -> None:
+    """The CSR equals the linear-scan oracle's, with one row per vertex,
+    each strictly ascending, and two arcs per edge."""
+    indptr, indices = g.csr()
+    for a, b in zip((indptr, indices), linear_scan_csr(g)):
         assert np.array_equal(a, b)
+    assert len(indptr) == g.vertex_count + 1
+    for a, b in itertools.pairwise(indptr.tolist()):
+        assert np.all(np.diff(indices[a:b]) > 0)
+    assert g.edge_count * 2 == len(indices)
+
+
+def assert_joined_as_oracle(g: ConflictGraph) -> None:
+    """The CSR is the oracle's, as `assert_csr_as_oracle` checks, and the
+    join's interval store is sorted by (link, period, start), with each
+    row's key holding its vertex's period and its start."""
+    assert_csr_as_oracle(g)
     store = g._store
     link, period = conflict_graph._key_class(store["key"], g._periods)
     order = np.lexsort((store["start"], period, link))
