@@ -5,10 +5,13 @@ Starts from an admitted set of streams on a grid network, then applies a
 series of update batches (streams joining and leaving). After every batch
 the planner compares a defensive plan (old streams keep their schedule)
 against an offensive re-plan (old streams may be reconfigured) and keeps
-the one rejecting fewer newcomers.
+the one rejecting fewer newcomers. The demo exits with status 1 if the
+oracle `validate_plan` finds a problem in any batch's plan.
 
 Run:  python demos/dynamic_updates.py
 """
+
+import sys
 
 from tsnplan import ExpansionParams, Planner, validate_plan
 from tsnplan.harness import gen_grid, gen_streams
@@ -25,6 +28,7 @@ def main():
     planner.iterate(StreamBatch(0, add=initial))
     print(f"iteration 0: {len(planner.state.admitted)} streams admitted")
 
+    invalid = bool(validate_plan(net, planner.state.plan))
     next_id = len(initial)
     for i in range(1, 6):
         leaving = sorted(planner.state.admitted)[: 4]
@@ -34,6 +38,7 @@ def main():
 
         m = planner.iterate(StreamBatch(i, add=joining, delete=leaving))
         problems = validate_plan(net, planner.state.plan)
+        invalid |= bool(problems)
         print(
             f"iteration {i}: -{len(leaving)} +{len(joining)} streams, "
             f"{m.rejected} rejected, graph {m.vertices}v/{m.edges}e, "
@@ -41,6 +46,8 @@ def main():
         )
 
     print(f"\nfinal admitted set: {len(planner.state.admitted)} streams")
+    if invalid:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,12 @@
 Builds a small ring network, generates a batch of periodic streams, runs a
 single planning iteration, and prints the resulting schedule: for every
 admitted stream the chosen route, phase, and per-link occupancy intervals.
+It exits with status 1 if the oracle `validate_plan` finds a problem.
 
 Run:  python demos/offline_planning.py
 """
+
+import sys
 
 from tsnplan import ExpansionParams, Planner, validate_plan
 from tsnplan.harness import gen_ring, gen_streams
@@ -45,6 +48,8 @@ def main():
 
     problems = validate_plan(net, planner.state.plan)
     print(f"\nindependent validation: {'OK' if not problems else problems}")
+    if problems:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -12,13 +12,14 @@ chunked numpy pass. `expand` calls it; otherwise the first read of the edges
 does. A removal leaves the queued vertices queued.
 
 The occupancy intervals are stored as flat columns sorted by (link, period,
-start); the rows of one link and period form a class. Each row carries a
-key that packs the link and the period's rank above the start, so the order
-is the order of one int64 column, and no other column repeats the link or
-the period. A change in the live streams' periods re-ranks the keys. A
-join sorts only the queued rows and merges them in: one `searchsorted` of
-their keys in the stored keys gives their rows, and the same rows place
-them in every column.
+start); the rows of one link and period form a class. A row is its key, its
+end and its vertex id. The key packs the link and the period's rank above
+the start, so the order is the order of one int64 column, and no other
+column repeats the link, the period or the start; a row's color is its
+vertex's. A change in the live streams' periods re-ranks the keys. A join
+sorts only the queued rows and merges them in: one `searchsorted` of their
+keys in the stored keys gives their rows, and the same rows place them in
+every column.
 
 Two intervals conflict only if some multiple m of g = gcd(pa, pb) satisfies
 sa - eb < m < ea - sb. So the starts in a class that can conflict with a
@@ -71,12 +72,11 @@ MAX_WINDOWS = 64
 CANDIDATE_CHUNK = 1 << 16
 
 #: columns of the interval store, one row per (vertex, link): the sort key,
-#: which also holds the link and the period, the interval, and `vc`, which
-#: packs the vertex's vid << 32 | its color code
-_COLUMNS = {"key": np.int64, "start": np.int64, "end": np.int64, "vc": np.int64}
+#: which holds the link, the period and the start, the end, and the vid
+_COLUMNS = {"key": np.int64, "end": np.int64, "vid": np.int64}
 #: columns of a vertex: its stream's color code, its route index and phase
 _VERTEX_COLUMNS = {"color": np.int32, "route": np.int32, "phase": np.int64}
-#: the low 32 bits, which hold a store key's start and a `vc`'s color code
+#: the low 32 bits, which hold a store key's start and an edge code's earlier vid
 _LOW = (1 << 32) - 1
 #: the most (link, period) classes a store key can number: the keys of class
 #: c lie below (c + 1) << 32, which a window search adds and must stay below
@@ -138,11 +138,10 @@ class _Classes:
         cut = np.flatnonzero(cls[1:] != cls[:-1]) + 1
         first = self.first = np.concatenate([[0], cut])
         last = np.concatenate([cut, [len(key)]])
-        start = store["start"]
         link, self.period = _key_class(key[first], periods)
         self.size = last - first
-        self.longest = np.maximum.reduceat(store["end"] - start, first)
-        self.smin, self.smax = start[first], start[last - 1]
+        self.longest = np.maximum.reduceat(store["end"] - (key & _LOW), first)
+        self.smin, self.smax = key[first] & _LOW, key[last - 1] & _LOW
         # a bound on the last tick a row of the class holds, and the windows
         # a query may search in it before it scans one spanning window
         self.reach = self.smax + self.longest - 1
@@ -155,15 +154,16 @@ class _Classes:
         lo, hi = np.concatenate([[0], cut]), np.concatenate([cut, [len(link)]])
         self.link_first, self.link_end = np.repeat(lo, hi - lo), np.repeat(hi, hi - lo)
 
-    def conflicts(self, pos: np.ndarray, store: dict[str, np.ndarray]) -> np.ndarray:
+    def conflicts(self, pos: np.ndarray, store: dict[str, np.ndarray],
+                  color: np.ndarray) -> np.ndarray:
         """Edges of the queued rows at the ascending store positions `pos`
-        to rows of other colors, as codes (later vid << 32 | earlier vid).
-        A queued row meets every stored row of a class that holds joined
-        rows. In a class of queued rows only, it meets the rows after it in
-        its own class and every row of a shorter period, so a pair of queued
-        rows is met once per shared link, or twice where a joined row shares
-        its class."""
-        q = {name: store[name][pos] for name in ("start", "end", "vc")}
+        to rows of other colors, as codes (later vid << 32 | earlier vid);
+        `color` is the vertices' color column. A queued row meets every
+        stored row of a class that holds joined rows. In a class of queued
+        rows only, it meets the rows after it in its own class and every row
+        of a shorter period, so a pair of queued rows is met once per shared
+        link, or twice where a joined row shares its class."""
+        q = {name: store[name][pos] for name in _COLUMNS}
         own = np.searchsorted(self.first, pos, side="right") - 1
         # one pair per query row and class on its link
         first = self.link_first[own]
@@ -172,7 +172,7 @@ class _Classes:
         # a queued-only class of a longer period meets this row from its side
         met = ~self.queued[c] | (c <= own[qi])
         qi, c = qi[met], c[met]
-        sa, ea = q["start"][qi], q["end"][qi]
+        sa, ea = q["key"][qi] & _LOW, q["end"][qi]
         pa, pb, longest = self.period[own[qi]], self.period[c], self.longest[c]
         g = np.gcd(pa, pb)
         h = pa // g * pb
@@ -214,13 +214,12 @@ class _Classes:
             p = np.repeat(w[a:b], n)  # the candidates' (query row, class) pairs
             j = np.repeat(row_lo[a:b] - (np.cumsum(n) - n), n) + np.arange(len(p))
             hit = overlap_in_band(
-                sa[p], ea[p], store["start"][j], store["end"][j], g[p], band_lo[p], band_hi[p]
+                sa[p], ea[p], store["key"][j] & _LOW, store["end"][j], g[p], band_lo[p], band_hi[p]
             )
-            vc, qvc = store["vc"][j[hit]], q["vc"][qi[p[hit]]]
-            keep = ((vc ^ qvc) & _LOW) != 0  # no edges within a color
-            vc, qvc = vc[keep], qvc[keep]
-            # the vid sits in the high bits, so the larger vc is the later vid
-            codes.append(np.maximum(vc, qvc) & ~_LOW | np.minimum(vc, qvc) >> 32)
+            vid, qvid = store["vid"][j[hit]], q["vid"][qi[p[hit]]]
+            keep = color[vid] != color[qvid]  # no edges within a color
+            vid, qvid = vid[keep], qvid[keep]
+            codes.append(np.maximum(vid, qvid) << 32 | np.minimum(vid, qvid))
         return np.concatenate(codes)
 
 
@@ -339,10 +338,10 @@ class ConflictGraph:
             raise OverflowError("the interval store key does not fit in 63 bits")
         self._joined = self._n
         if not np.array_equal(periods, self._periods):  # the keys rank the periods
-            key, start = self._store["key"], self._store["start"]
-            self._store["key"] = _store_keys(*_key_class(key, self._periods), start, periods)
+            key = self._store["key"]
+            self._store["key"] = _store_keys(*_key_class(key, self._periods), key & _LOW, periods)
             self._periods = periods
-        new["key"] = _store_keys(new.pop("link"), new.pop("period"), new["start"], periods)
+        new["key"] = _store_keys(new.pop("link"), new.pop("period"), new.pop("start"), periods)
         # rows of equal key may take any order: neither the search nor its
         # edges depend on it
         order = np.argsort(new["key"])
@@ -360,8 +359,9 @@ class ConflictGraph:
         self._store = store
         classes = _Classes(store, queued, periods)
         del queued
+        color = self._column("color")
         codes = np.concatenate([
-            classes.conflicts(pos[a : a + JOIN_CHUNK], store)
+            classes.conflicts(pos[a : a + JOIN_CHUNK], store, color)
             for a in range(0, len(pos), JOIN_CHUNK)
         ])
         del classes, pos
@@ -406,7 +406,7 @@ class ConflictGraph:
         entry = (np.cumsum(hops) - hops)[which][vert] + hop
         return {
             "link": link[entry], "period": period[entry], "start": start[entry] + phase[vert],
-            "end": end[entry] + phase[vert], "vc": (first + vert) << 32 | color[vert],
+            "end": end[entry] + phase[vert], "vid": first + vert,
         }
 
     def _flush_removals(self) -> None:
@@ -428,11 +428,9 @@ class ConflictGraph:
         self._vert = {name: self._column(name)[keep] for name in _VERTEX_COLUMNS}
         self._joined = int(np.count_nonzero(kept))
         self._n = len(self._vert["color"])
-        vc = self._store["vc"]
-        rows = keep[vc >> 32]
+        rows = keep[self._store["vid"]]
         self._store = {name: col[rows] for name, col in self._store.items()}
-        vc = self._store["vc"]
-        vc[:] = new_vid[vc >> 32] << 32 | vc & _LOW
+        self._store["vid"] = new_vid[self._store["vid"]]
 
     # -- derived structure and metrics -------------------------------------
 

@@ -65,36 +65,25 @@ def _assemble(bridge_edges: list[tuple[int, int]], n: int) -> Network:
     return Network(nodes, links)
 
 
-def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    adj = {i: set() for i in range(n)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen, stack = set(), [0]
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        stack.extend(adj[u] - seen)
-    return len(seen) == n
-
-
 MAX_RESAMPLES = 1000
+
+
+def _resample(n: int, seed: int, draw, params: str) -> Network:
+    """The network of the first bridge edges `draw(rng)` that connect the n
+    bridges, with a fresh rng per attempt."""
+    for attempt in range(MAX_RESAMPLES):
+        net = _assemble(draw(Random(seed * 1_000_003 + attempt)), n)
+        if not validate_network(net):
+            return net
+    raise ValueError(f"could not draw a connected graph (n={n}, {params})")
 
 
 def gen_random(n: int, p: float, seed: int) -> Network:
     """Erdos-Renyi bridge graph, resampled until connected."""
     if n < 2 or not 0 < p <= 1:
         raise ValueError("need n >= 2 and 0 < p <= 1")
-    for attempt in range(MAX_RESAMPLES):
-        rng = Random(seed * 1_000_003 + attempt)
-        edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-        ]
-        if _connected(n, edges):
-            return _assemble(edges, n)
-    raise ValueError(f"could not draw a connected graph (n={n}, p={p})")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return _resample(n, seed, lambda rng: [e for e in pairs if rng.random() < p], f"p={p}")
 
 
 def gen_waxman(n: int, a: float = 0.4, b: float = 0.6, seed: int = 0) -> Network:
@@ -102,21 +91,15 @@ def gen_waxman(n: int, a: float = 0.4, b: float = 0.6, seed: int = 0) -> Network
     with distance, resampled until connected."""
     if n < 2 or not 0 < a <= 1 or not 0 < b <= 1:
         raise ValueError("need n >= 2 and a, b in (0, 1]")
-    for attempt in range(MAX_RESAMPLES):
-        rng = Random(seed * 1_000_003 + attempt)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+    def draw(rng):
         pts = [(rng.random(), rng.random()) for _ in range(n)]
-        dmax = max(
-            math.dist(pts[u], pts[v]) for u in range(n) for v in range(u + 1, n)
-        )
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                prob = b * math.exp(-math.dist(pts[u], pts[v]) / (a * dmax))
-                if rng.random() < prob:
-                    edges.append((u, v))
-        if _connected(n, edges):
-            return _assemble(edges, n)
-    raise ValueError(f"could not draw a connected graph (n={n}, a={a}, b={b})")
+        dist = [math.dist(pts[u], pts[v]) for u, v in pairs]
+        scale = a * max(dist)
+        return [e for e, d in zip(pairs, dist) if rng.random() < b * math.exp(-d / scale)]
+
+    return _resample(n, seed, draw, f"a={a}, b={b}")
 
 
 def gen_ring(n: int) -> Network:
@@ -188,9 +171,25 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        bad = [p for p in self.periods if type(p) is not int or not 0 < p < MAX_PERIOD]
+        # the int fields and their least values, None for any int
+        lows = {"initial_streams": 0, "iterations": 0, "add_per_iteration": 0,
+                "del_per_iteration": 0, "k_routes": 1, "cps": None, "alpha": None, "seed": None}
+        for name, low in lows.items():
+            value = getattr(self, name)
+            if type(value) is not int or low is not None and value < low:
+                least = "" if low is None else f" >= {low}"
+                raise ConfigError(f"{name} must be an int{least}, got {value!r}")
+        for name in ("sizes", "periods"):
+            values = getattr(self, name)
+            if type(values) is not list or not values or any(
+                type(v) is not int or v <= 0 for v in values
+            ):
+                raise ConfigError(f"{name} must be a non-empty list of ints > 0, got {values!r}")
+        bad = [p for p in self.periods if p >= MAX_PERIOD]
         if bad:
             raise ConfigError(f"periods must be ints > 0 and < 2**31, got {bad}")
+        if type(self.topology) is not dict:
+            raise ConfigError(f"topology must be an object, got {self.topology!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -236,7 +235,7 @@ def build_topology(cfg: ExperimentConfig) -> Network:
             net = Network.load(t["path"])
         else:
             raise ConfigError(f"unknown topology kind {kind!r}")
-    except (KeyError, ValueError, OSError) as e:
+    except (KeyError, ValueError, TypeError, OSError) as e:
         raise ConfigError(f"bad topology spec: {e}") from None
     problems = validate_network(net)
     if problems:
@@ -354,6 +353,7 @@ def load_plan(path, net: Network) -> TrafficPlan:
                 raise ValueError(f"{sid}: period, size, phase must be ints, phase >= 0")
             nodes = spec["nodes"]
             route = Route(tuple(net.link(a, b) for a, b in zip(nodes, nodes[1:])))
+            route.check(net)
             stream = Stream(sid, nodes[0], nodes[-1], spec["period"], spec["size"])
             assignments[sid] = Configuration(
                 stream, spec.get("route_index", 0), route, spec["phase"],

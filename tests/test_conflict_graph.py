@@ -108,12 +108,10 @@ def test_window_search_in_the_highest_class():
     to the class's base plus 2**32, which must stay below 2**63."""
     cls = conflict_graph._MAX_CLASSES - 1
     start = np.array([conflict_graph._LOW - 8, conflict_graph._LOW - 3])
-    store = {
-        "key": cls << 32 | start, "start": start, "end": start + 10,
-        "vc": np.arange(2) << 32 | np.arange(2),
-    }
+    store = {"key": cls << 32 | start, "end": start + 10, "vid": np.arange(2)}
     classes = conflict_graph._Classes(store, np.ones(2, dtype=bool), np.array([1 << 33]))
-    assert classes.conflicts(np.arange(2), store).tolist() == [1 << 32 | 0]
+    color = np.arange(2, dtype=np.int32)
+    assert classes.conflicts(np.arange(2), store, color).tolist() == [1 << 32 | 0]
 
 
 def test_same_phase_shared_link_edge(shared_net):
@@ -479,16 +477,22 @@ def assert_csr_as_oracle(g: ConflictGraph) -> None:
 
 def assert_joined_as_oracle(g: ConflictGraph) -> None:
     """The CSR is the oracle's, as `assert_csr_as_oracle` checks, and the
-    join's interval store is sorted by (link, period, start), with each
-    row's key holding its vertex's period and its start."""
+    join's interval store is sorted by (link, period, start) and holds, row
+    for row, the phase-shifted schedule of every joined vertex."""
     assert_csr_as_oracle(g)
     store = g._store
     link, period = conflict_graph._key_class(store["key"], g._periods)
-    order = np.lexsort((store["start"], period, link))
+    start = store["key"] & 0xFFFFFFFF
+    order = np.lexsort((start, period, link))
     assert np.array_equal(order, np.arange(len(order)))
-    assert np.array_equal(store["key"] & 0xFFFFFFFF, store["start"])
-    vids = (store["vc"] >> 32).tolist()
-    assert [g.config(v).stream.period for v in vids] == period.tolist()
+    rows = zip(store["vid"].tolist(), link.tolist(), period.tolist(), start.tolist(),
+               store["end"].tolist())
+    expected = []
+    for v in range(g._joined):
+        c = g.config(v)
+        expected += [(v, g._link_code[k], c.stream.period, s + c.phase, e + c.phase)
+                     for k, s, e in c.schedule.entries]
+    assert sorted(rows) == sorted(expected)
 
 
 def assert_stream_sums_match_scans(g: ConflictGraph) -> None:

@@ -24,7 +24,7 @@ from tsnplan.harness import (
     run_experiment,
     write_metrics_csv,
 )
-from tsnplan.model import validate_network
+from tsnplan.model import BRIDGE, END_DEVICE, Link, Network, Node, validate_network
 from tsnplan.solver import validate_plan
 
 
@@ -320,6 +320,34 @@ def test_cli_validate_rejects_a_route_over_a_missing_link(tmp_path, capsys):
     assert "nowhere" in err and len(err.strip().splitlines()) == 1
 
 
+def validate_plan_file(tmp_path, nodes):
+    """Exit code of `tsnplan validate` on tmp_path/topology.json and a plan
+    whose only stream takes `nodes`."""
+    spec = {"nodes": nodes, "route_index": 0, "phase": 0, "period": 1000, "size": 125}
+    (tmp_path / "plan.json").write_text(json.dumps({"streams": {"s0": spec}}))
+    return main(["validate", str(tmp_path / "plan.json"), str(tmp_path / "topology.json")])
+
+
+def test_cli_validate_rejects_a_route_that_repeats_a_node(tmp_path, capsys):
+    nodes = ["d0", "b0", "b1", "b0", "b1", "d1"]  # uses link b0 -> b1 twice
+    gen_ring(4).save(tmp_path / "topology.json")
+    assert validate_plan_file(tmp_path, nodes) == 2
+    err = capsys.readouterr().err
+    assert "repeats a node" in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_validate_rejects_a_route_through_an_end_device(tmp_path, capsys):
+    cables = [("b0", "b1"), ("d0", "b0"), ("d0", "b1"), ("d1", "b0"), ("d2", "b1")]
+    net = Network(
+        [Node(b, BRIDGE, 4) for b in ("b0", "b1")] + [Node(f"d{i}", END_DEVICE) for i in range(3)],
+        [Link(a, b, 1000) for u, v in cables for a, b in ((u, v), (v, u))],
+    )
+    net.save(tmp_path / "topology.json")
+    assert validate_plan_file(tmp_path, ["d1", "b0", "d0", "b1", "d2"]) == 2
+    err = capsys.readouterr().err
+    assert "'d0' is not a bridge" in err and len(err.strip().splitlines()) == 1
+
+
 def test_cli_validate_reports_missing_files(tmp_path, capsys):
     out, _ = run_and_load_plan(tmp_path, "missing")
     for plan, topology in ((tmp_path / "absent.json", out / "topology.json"),
@@ -358,6 +386,22 @@ def test_cli_config_errors(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
     bad.write_text(json.dumps({"topology": {"kind": "ring", "n": 4}, "cps": 0}))
     assert main(["run", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("fields", [
+    {"cps": "50"},
+    {"topology": {"kind": "ring", "n": "6"}},
+    {"sizes": [0]},
+    {"sizes": []},
+    {"k_routes": 0},
+    {"iterations": "2"},
+    {"initial_streams": -3},
+], ids=["cps-str", "ring-n-str", "size-0", "no-sizes", "k-routes-0", "iterations-str",
+        "negative-initial-streams"])
+def test_cli_run_refuses_a_malformed_field(tmp_path, capsys, fields):
+    assert main(["run", "--config", write_cfg(tmp_path, **fields)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and len(err.strip().splitlines()) == 1
 
 
 def test_cli_run_refuses_periods_of_2_pow_31_and_more(tmp_path, capsys):
