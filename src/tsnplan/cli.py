@@ -1,13 +1,14 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration error (including an unreadable
-plan or topology, or a plan too large for the oracle), 3 plan-validation
-failure.
+plan or topology, a topology that `validate_network` rejects, or a plan too
+large for the oracle), 3 plan-validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,7 +23,6 @@ from .harness import (
     load_plan,
     run_experiment,
 )
-from .model import Network
 from .solver import validate_plan
 from .timing import OracleBoundExceeded
 
@@ -32,13 +32,10 @@ EXIT_INVALID_PLAN = 3
 
 
 def _load_config(args) -> ExperimentConfig:
+    flags = {"seed": args.seed, "strategy": args.strategy, "scheme": args.scheme,
+             "cps": args.cps, "alpha": args.alpha, "out_dir": args.out}
     cfg = ExperimentConfig.load(args.config)
-    for name in ("seed", "strategy", "scheme", "cps", "alpha", "out"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, "out_dir" if name == "out" else name, val)
-    cfg.expansion_params()  # fail fast on bad values
-    return cfg
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_gen_topology(args) -> int:
@@ -90,10 +87,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        net = Network.load(args.topology)
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"cannot read topology {args.topology}: {e}") from None
+    net = build_topology(ExperimentConfig({"kind": "file", "path": args.topology}))
     plan = load_plan(args.plan, net)
     problems = validate_plan(net, plan)
     if problems:

@@ -237,9 +237,9 @@ class ConflictGraph:
         self._added = 0
         # the intervals of the joined vertices, sorted by (link, period, start)
         self._store = {name: np.empty(0, dtype=t) for name, t in _COLUMNS.items()}
-        self._joined = 0  # vids from here on are queued
         self._periods = np.empty(0, dtype=np.int64)  # the periods the keys rank
-        # the edges, as the adjacency of the joined vertices
+        # the edges, as the adjacency of the joined vertices: one row each,
+        # so vids from len(_indptr) - 1 on are queued
         self._indptr = np.zeros(1, dtype=np.int64)
         self._indices = np.empty(0, dtype=np.int64)
 
@@ -327,7 +327,7 @@ class ConflictGraph:
         """Add the edges of every queued vertex to the CSR. The queued rows
         are sorted on their own and merged into the sorted store, so they
         meet each other too; the pass runs in chunks of queued rows."""
-        first = self._joined
+        first = len(self._indptr) - 1
         if first == self._n:
             return
         new = self._queued_rows(first)
@@ -336,7 +336,6 @@ class ConflictGraph:
             0 <= new["start"].min(initial=0) and new["start"].max(initial=0) <= _LOW
         ):
             raise OverflowError("the interval store key does not fit in 63 bits")
-        self._joined = self._n
         if not np.array_equal(periods, self._periods):  # the keys rank the periods
             key = self._store["key"]
             self._store["key"] = _store_keys(*_key_class(key, self._periods), key & _LOW, periods)
@@ -415,7 +414,7 @@ class ConflictGraph:
         keep = np.isin(self._column("color"), list(self._colors))
         new_vid = np.cumsum(keep) - 1
         indptr, indices = self._indptr, self._indices
-        kept, deg = keep[: self._joined], np.diff(indptr)
+        kept, deg = keep[: len(indptr) - 1], np.diff(indptr)
         # an arc stays when its column and its row stay; the arcs of the
         # removed rows are the twins of the arcs the kept rows lose
         owner, rank = _ragged(deg[~kept])
@@ -426,7 +425,6 @@ class ConflictGraph:
         self._indptr = np.concatenate([[0], np.cumsum(deg[kept])])
         self._indices = new_vid[indices[arcs]]
         self._vert = {name: self._column(name)[keep] for name in _VERTEX_COLUMNS}
-        self._joined = int(np.count_nonzero(kept))
         self._n = len(self._vert["color"])
         rows = keep[self._store["vid"]]
         self._store = {name: col[rows] for name, col in self._store.items()}

@@ -176,18 +176,13 @@ def _largest_remainder(raws, total: int, order: list[str]) -> dict[str, int]:
     return dict(zip(order, floors))
 
 
-def _uniform_split(total: int, order: list[str]) -> dict[str, int]:
-    n = len(order)
-    return {sid: total // n + (1 if i < total % n else 0) for i, sid in enumerate(order)}
-
-
 def budget_homogeneous(batch: StreamBatch, vbar: int, g: ConflictGraph) -> dict[str, int]:
     """Even split of the free vertex allowance over the new streams."""
     order = [s.id for s in batch.add]
     if not order:
         return {}
     avail = max(0, vbar - g.vertex_count)
-    return _uniform_split(avail, order)
+    return _largest_remainder(dict.fromkeys(order, Fraction(avail, len(order))), avail, order)
 
 
 def raw_traffic_volume(batch: StreamBatch, r_i: int, all_streams: list[Stream]):
@@ -207,10 +202,9 @@ def budget_traffic_volume(
     """Extras inversely proportional to traffic volume, plus the base budget."""
     order = [s.id for s in batch.add]
     raws = raw_traffic_volume(batch, r_i, all_streams)
-    if raws is None:
-        extras = _uniform_split(r_i, order)
-    else:
-        extras = _largest_remainder(raws, r_i, order)
+    if raws is None:  # an even split; an empty batch splits nothing
+        raws = dict.fromkeys(order, Fraction(r_i, len(order) or 1))
+    extras = _largest_remainder(raws, r_i, order)
     return {sid: extras[sid] + alpha for sid in order}
 
 
@@ -227,8 +221,9 @@ def _metric_budget(metrics: dict, r_i: int, order: list[str]) -> dict[str, int]:
     top = max(metrics.values())
     denom = top * len(order) - sum(metrics.values())
     if abs(denom) < 1e-12:
-        return _uniform_split(r_i, order)
-    raws = {sid: (top - metrics[sid]) / denom * r_i for sid in order}
+        raws = dict.fromkeys(order, Fraction(r_i, len(order)))
+    else:
+        raws = {sid: (top - metrics[sid]) / denom * r_i for sid in order}
     return _largest_remainder(raws, r_i, order)
 
 

@@ -78,7 +78,7 @@ def _resample(n: int, seed: int, draw, params: str) -> Network:
     raise ValueError(f"could not draw a connected graph (n={n}, {params})")
 
 
-def gen_random(n: int, p: float, seed: int) -> Network:
+def gen_random(n: int, p: float = 0.3, seed: int = 0) -> Network:
     """Erdos-Renyi bridge graph, resampled until connected."""
     if n < 2 or not 0 < p <= 1:
         raise ValueError("need n >= 2 and 0 < p <= 1")
@@ -121,6 +121,12 @@ def gen_grid(rows: int, cols: int) -> Network:
             if r + 1 < rows:
                 edges.append((i, i + cols))
     return _assemble(edges, rows * cols)
+
+
+_BUILDERS = {
+    "random": gen_random, "waxman": gen_waxman, "ring": gen_ring, "grid": gen_grid,
+    "file": Network.load,
+}
 
 
 def gen_streams(
@@ -190,6 +196,9 @@ class ExperimentConfig:
             raise ConfigError(f"periods must be ints > 0 and < 2**31, got {bad}")
         if type(self.topology) is not dict:
             raise ConfigError(f"topology must be an object, got {self.topology!r}")
+        if self.out_dir is not None and type(self.out_dir) is not str:
+            raise ConfigError(f"out_dir must be a string or null, got {self.out_dir!r}")
+        self.expansion_params()
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -220,23 +229,18 @@ class ExperimentConfig:
 
 
 def build_topology(cfg: ExperimentConfig) -> Network:
+    """The network of `cfg.topology`: its kind names the builder, its other
+    keys are the builder's keyword arguments, and `random` and `waxman`
+    also take the config's seed."""
     t = dict(cfg.topology)
     kind = t.pop("kind", None)
+    if type(kind) is not str or kind not in _BUILDERS:
+        raise ConfigError(f"unknown topology kind {kind!r}")
+    seed = {"seed": cfg.seed} if kind in ("random", "waxman") else {}
     try:
-        if kind == "random":
-            net = gen_random(t["n"], t.get("p", 0.3), cfg.seed)
-        elif kind == "waxman":
-            net = gen_waxman(t["n"], t.get("a", 0.4), t.get("b", 0.6), cfg.seed)
-        elif kind == "ring":
-            net = gen_ring(t["n"])
-        elif kind == "grid":
-            net = gen_grid(t["rows"], t["cols"])
-        elif kind == "file":
-            net = Network.load(t["path"])
-        else:
-            raise ConfigError(f"unknown topology kind {kind!r}")
+        net = _BUILDERS[kind](**t, **seed)
     except (KeyError, ValueError, TypeError, OSError) as e:
-        raise ConfigError(f"bad topology spec: {e}") from None
+        raise ConfigError(f"bad topology spec {cfg.topology}: {e}") from None
     problems = validate_network(net)
     if problems:
         raise ConfigError(f"generated/loaded topology invalid: {problems}")

@@ -5,6 +5,10 @@ parts as the raws' own type computes them: exact `Fraction` arithmetic for
 the traffic-volume and avg-degree formulas, floats for page-rank. It is
 slow for Fractions but obviously right, which makes it the oracle
 `tsnplan.expansion._largest_remainder` is checked against.
+
+`oracle_uniform_split` is the closed form of an even split: the first
+`total % n` streams get one more than `total // n`. The budgets pass equal
+`Fraction` shares to `_largest_remainder` instead, which must agree.
 """
 
 from __future__ import annotations
@@ -21,3 +25,8 @@ def oracle_largest_remainder(raws, total: int, order: list[str]) -> dict[str, in
     for i in by_frac[:remaining]:
         floors[order[i]] += 1
     return floors
+
+
+def oracle_uniform_split(total: int, order: list[str]) -> dict[str, int]:
+    n = len(order)
+    return {sid: total // n + (1 if i < total % n else 0) for i, sid in enumerate(order)}

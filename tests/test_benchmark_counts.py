@@ -1,0 +1,57 @@
+"""The benchmark's `counts:` lines, pinned.
+
+Each workload of `perfbench/` at seeds 0 and 11 must build the same graph
+and emit the same plan as recorded here: the counts that
+`perfbench/run.py --trace 1` prints, plan SHA-256 included. The episode
+comes from `perfbench/episode.py` itself, imported without changes, so
+these are the benchmark's own numbers. A change that moves a count says
+which and why in `CHANGES.md`, and updates the value here.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+EPISODE = Path(__file__).resolve().parents[1] / "perfbench" / "episode.py"
+
+#: (workload, seed) -> (batches, offered, rejected, vertices, edges, slots,
+#: plan SHA-256)
+COUNTS = {
+    ("offline-waxman64", 0): (1, 400, 0, 20000, 137861, 20000,
+        "4f9765ce8b968754f60cc66b9a19d9964de4ff2fd46ee22f15d14bac9b09afda"),
+    ("offline-waxman64", 11): (1, 400, 0, 20000, 140638, 20000,
+        "667c2b44534fa2759134b9f54f9041273d589e519d1a5aeca3081b63e06ebc9a"),
+    ("routing-waxman128", 0): (1, 300, 22, 3000, 13966, 3000,
+        "c72cf48c500e16d1083b5b404ee951952906081dd41258474527109c74a1a512"),
+    ("routing-waxman128", 11): (1, 300, 24, 3000, 13799, 3000,
+        "957bf87855fdd4f5bd5538272fec23549893914ee8cadfd2c580d8332431b76b"),
+    ("dynamic-grid3x3", 0): (101, 360, 0, 1200, 5336, 7334,
+        "f094a5e5849598b6b37c01343a3be5cfa642c4a1b9fc9bef7ceeafe75ea87d4e"),
+    ("dynamic-grid3x3", 11): (101, 360, 0, 1200, 3349, 7014,
+        "d04f4cfc685c013fcf5bd186ea400452241ececb4cfa9a5f6fc9a7450b1be27a"),
+}
+
+
+@pytest.fixture(scope="module")
+def episode():
+    """perfbench/episode.py as a module; the benchmark directory it puts on
+    sys.path for its own imports is taken off again."""
+    path = list(sys.path)
+    spec = importlib.util.spec_from_file_location("perfbench_episode", EPISODE)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
+
+
+@pytest.mark.parametrize("workload, seed", list(COUNTS), ids=[f"{w}-seed{s}" for w, s in COUNTS])
+def test_benchmark_counts_are_unchanged(episode, workload, seed):
+    _, _, net, batches, planner = episode.setup(workload, seed, "full")
+    ep = episode.run_episode(planner, net, batches)
+    assert ep["invalid_plans"] == 0, ep["problems"]
+    keys = ("batches", "offered", "rejected", "vertices", "edges", "slots", "plan_sha256")
+    assert ep["counts"] == dict(zip(keys, COUNTS[workload, seed]))

@@ -488,7 +488,7 @@ def assert_joined_as_oracle(g: ConflictGraph) -> None:
     rows = zip(store["vid"].tolist(), link.tolist(), period.tolist(), start.tolist(),
                store["end"].tolist())
     expected = []
-    for v in range(g._joined):
+    for v in range(len(g._indptr) - 1):
         c = g.config(v)
         expected += [(v, g._link_code[k], c.stream.period, s + c.phase, e + c.phase)
                      for k, s, e in c.schedule.entries]

@@ -38,7 +38,7 @@ from conftest import (
     shared_link_net,
     through_route,
 )
-from budget_oracle import oracle_largest_remainder
+from budget_oracle import oracle_largest_remainder, oracle_uniform_split
 from enumeration_oracle import oracle_randomized_enumeration
 
 
@@ -312,6 +312,18 @@ def test_largest_remainder_matches_oracle_on_any_floats(raws, extra):
     total = sum(math.floor(r) for r in raws) + extra
     got = _largest_remainder(dict(zip(order, raws)), total, order)
     assert got == oracle_largest_remainder(dict(zip(order, raws)), total, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 50))
+def test_largest_remainder_of_equal_shares_is_the_uniform_split(total, n):
+    order = [f"s{i}" for i in range(n)]
+    shares = dict.fromkeys(order, Fraction(total, n))
+    assert _largest_remainder(shares, total, order) == oracle_uniform_split(total, order)
+
+
+def test_traffic_volume_budget_of_an_empty_batch():
+    assert budget_traffic_volume(batch_of(), 10, 5, [mkstream("s1")]) == {}
 
 
 def test_largest_remainder_ties_go_to_earlier_streams():

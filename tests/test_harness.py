@@ -149,6 +149,12 @@ def test_build_topology_kinds(tmp_path):
         build_topology(ExperimentConfig(topology={"kind": "bogus"}))
     with pytest.raises(ConfigError):
         build_topology(ExperimentConfig(topology={"kind": "grid", "rows": 2}))
+    # the generators' own defaults fill the keys a spec leaves out
+    for topo, net in (({"kind": "random", "n": 8}, gen_random(8, 0.3, seed=3)),
+                      ({"kind": "waxman", "n": 8}, gen_waxman(8, 0.4, 0.6, seed=3))):
+        assert build_topology(ExperimentConfig(topology=topo, seed=3)).to_dict() == net.to_dict()
+    with pytest.raises(ConfigError):
+        build_topology(ExperimentConfig(topology={"kind": "file"}))
 
 
 def test_build_scenario_shapes():
@@ -348,6 +354,17 @@ def test_cli_validate_rejects_a_route_through_an_end_device(tmp_path, capsys):
     assert "'d0' is not a bridge" in err and len(err.strip().splitlines()) == 1
 
 
+def test_cli_validate_rejects_a_topology_with_a_negative_delay(tmp_path, capsys):
+    doc = gen_ring(4).to_dict()
+    for link in doc["links"]:
+        if (link["from"], link["to"]) == ("b0", "b1"):
+            link["propagation_delay"] = -50
+    (tmp_path / "topology.json").write_text(json.dumps(doc))
+    assert validate_plan_file(tmp_path, ["d0", "b0", "b1", "d1"]) == 2
+    err = capsys.readouterr().err
+    assert "negative propagation delay" in err and len(err.strip().splitlines()) == 1
+
+
 def test_cli_validate_reports_missing_files(tmp_path, capsys):
     out, _ = run_and_load_plan(tmp_path, "missing")
     for plan, topology in ((tmp_path / "absent.json", out / "topology.json"),
@@ -386,6 +403,8 @@ def test_cli_config_errors(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
     bad.write_text(json.dumps({"topology": {"kind": "ring", "n": 4}, "cps": 0}))
     assert main(["run", "--config", str(bad)]) == 2
+    # a flag passes the same checks as the field it overrides
+    assert main(["run", "--config", write_cfg(tmp_path), "--alpha", "0"]) == 2
 
 
 @pytest.mark.parametrize("fields", [
@@ -396,8 +415,14 @@ def test_cli_config_errors(tmp_path):
     {"k_routes": 0},
     {"iterations": "2"},
     {"initial_streams": -3},
+    {"out_dir": 5},
+    {"topology": {"kind": "random", "n": 8, "prob": 0.9}},
+    {"topology": {"kind": "grid", "rows": 2, "cols": 2, "extra": 1}},
+    {"topology": {"kind": "ring", "n": 4, "seed": 3}},
+    {"topology": {"kind": ["ring"], "n": 4}},
 ], ids=["cps-str", "ring-n-str", "size-0", "no-sizes", "k-routes-0", "iterations-str",
-        "negative-initial-streams"])
+        "negative-initial-streams", "out-dir-int", "random-misspelt-p", "grid-extra-key",
+        "ring-seed-key", "kind-list"])
 def test_cli_run_refuses_a_malformed_field(tmp_path, capsys, fields):
     assert main(["run", "--config", write_cfg(tmp_path, **fields)]) == 2
     err = capsys.readouterr().err
