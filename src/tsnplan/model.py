@@ -48,6 +48,14 @@ class Link:
         return (self.src, self.dst)
 
 
+def _int_field(doc: dict, key: str, default: int | None = None) -> int:
+    """doc[key], or `default` when given and the key is absent."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an int, got {value!r}")
+    return value
+
+
 class Network:
     """Directed-link topology of bridges and end devices."""
 
@@ -107,11 +115,15 @@ class Network:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Network":
+        """The network of a `to_dict` document; a delay or rate that is not
+        an int raises ValueError."""
         nodes = [
-            Node(n["id"], n["kind"], n.get("processing_delay", 0)) for n in d["nodes"]
+            Node(n["id"], n["kind"], _int_field(n, "processing_delay", 0))
+            for n in d["nodes"]
         ]
         links = [
-            Link(l["from"], l["to"], l["rate"], l.get("propagation_delay", 1))
+            Link(l["from"], l["to"], _int_field(l, "rate"),
+                 _int_field(l, "propagation_delay", 1))
             for l in d["links"]
         ]
         return cls(nodes, links)

@@ -16,13 +16,19 @@ sequences compares name sequences, and works in two steps:
    destination stays at 0 and no other end device gets a distance, so none
    is ever interior. The source's distance is the least over its own
    out-links. After r rounds a bridge's distance is its least cost over
-   routes of at most r links. A longer route costs at least r - 1 + m_d,
-   m_d the least cost of a bridge's link into the destination, as every
-   link costs at least 1; so every distance of at most r - 1 + m_d is
-   exact. The rounds stop once no distance falls, or once the source's
-   bound is at most r - 1 + m_d + m_s, m_s its least first-hop cost: then
-   the source's distance is exact, and so is every distance below it by
-   m_s or more, which covers every node the walk below can call tight.
+   routes of at most r links, and once no distance falls every distance is
+   exact. The first candidate's relaxation runs until then: its unit costs
+   depend on the destination alone, so one converged distance serves every
+   stream of a batch that shares the destination, and the walk's proof
+   below holds at every node. A penalised search's costs depend on the
+   stream's earlier routes, so it runs per stream and may stop early. A
+   longer route than r links costs at least r - 1 + m_d, m_d the least
+   cost of a bridge's link into the destination, as every link costs at
+   least 1; so every distance of at most r - 1 + m_d is exact. The
+   penalised rounds also stop once the source's bound is at most
+   r - 1 + m_d + m_s, m_s its least first-hop cost: then the source's
+   distance is exact, and so is every distance below it by m_s or more,
+   which covers every node the walk below can call tight.
 2. Forward walk: from the source, repeatedly take the out-link to the
    smallest node id that is tight, i.e. whose distance plus the link's cost
    equals the current node's distance.
@@ -131,28 +137,20 @@ def _index(net: Network) -> _Index:
     return net._route_index
 
 
-def _search(ix: _Index, src: str, dst: str, penalized: set[int]) -> tuple[int, ...]:
-    """Node ids of the lexicographically smallest min-cost route; links whose
-    code is in `penalized` cost PENALTY_WEIGHT, all others 1."""
+def _ends(ix: _Index, src: str, dst: str) -> tuple[int, int]:
     s, d = ix.id.get(src), ix.id.get(dst)
     if s is None or d is None:
         raise Unreachable(f"no route from {src!r} to {dst!r}: unknown endpoint")
-    n = len(ix.names)
-    w = np.ones(len(ix.code), dtype=np.int64)
-    if penalized and len(w):
-        pen = np.fromiter(penalized, dtype=np.int64, count=len(penalized))
-        at = np.minimum(np.searchsorted(ix.code, pen), len(w) - 1)
-        w[at[ix.code[at] == pen]] = PENALTY_WEIGHT
-    out_ptr, out_dst = ix.out_ptr, ix.out_dst
-    first_hops = [
-        (v, PENALTY_WEIGHT if s * n + v in penalized else 1)
-        for v in out_dst[out_ptr[s] : out_ptr[s + 1]]
-    ]
-    # least costs of a first hop and of a bridge's link into dst (a lower
-    # bound, PENALTY_WEIGHT when no bridge links into dst)
-    into_dst = 1 if any(c not in penalized for c in ix.into[d]) else PENALTY_WEIGHT
-    slack = min((c for _, c in first_hops), default=1) + into_dst - 1
-    dist = np.full(n, _FAR, dtype=np.int64)
+    return s, d
+
+
+def _relax(
+    ix: _Index, d: int, w: np.ndarray, first_hops=(), slack: int = 0
+) -> np.ndarray:
+    """Reverse distances to node d under link costs w (in `ix.code` order):
+    step 1's min-plus relaxation, run until no distance falls or, given the
+    source's first hops and their slack, until the source's bound is exact."""
+    dist = np.full(len(ix.names), _FAR, dtype=np.int64)
     dist[d] = 0
     # every cost is below _FAR + PENALTY_WEIGHT < 2**63, so int64 is exact;
     # best >= 1 keeps a bridge dst at 0
@@ -164,13 +162,21 @@ def _search(ix: _Index, src: str, dst: str, penalized: set[int]) -> tuple[int, .
             break
         dist[ix.rows] = np.minimum(cur, best)
         rounds += 1
-    dist = dist.tolist()
+    return dist
 
-    for v, c in first_hops:
+
+def _walk(
+    ix: _Index, s: int, d: int, dist: list[int], penalized: set[int]
+) -> tuple[int, ...]:
+    """Step 2 from s over `dist`, a fresh list the walk may change at s."""
+    n = len(ix.names)
+    out_ptr, out_dst = ix.out_ptr, ix.out_dst
+    for v in out_dst[out_ptr[s] : out_ptr[s + 1]]:
+        c = PENALTY_WEIGHT if s * n + v in penalized else 1
         if dist[v] + c < dist[s]:
             dist[s] = dist[v] + c
     if dist[s] >= _FAR:
-        raise Unreachable(f"no route from {src!r} to {dst!r}")
+        raise Unreachable(f"no route from {ix.names[s]!r} to {ix.names[d]!r}")
 
     path = [s]
     v = s
@@ -184,17 +190,52 @@ def _search(ix: _Index, src: str, dst: str, penalized: set[int]) -> tuple[int, .
     return tuple(path)
 
 
+def _search(ix: _Index, src: str, dst: str, penalized: set[int]) -> tuple[int, ...]:
+    """Node ids of the lexicographically smallest min-cost route; links whose
+    code is in `penalized` cost PENALTY_WEIGHT, all others 1."""
+    s, d = _ends(ix, src, dst)
+    n = len(ix.names)
+    w = np.ones(len(ix.code), dtype=np.int64)
+    if penalized and len(w):
+        pen = np.fromiter(penalized, dtype=np.int64, count=len(penalized))
+        at = np.minimum(np.searchsorted(ix.code, pen), len(w) - 1)
+        w[at[ix.code[at] == pen]] = PENALTY_WEIGHT
+    first_hops = [
+        (v, PENALTY_WEIGHT if s * n + v in penalized else 1)
+        for v in ix.out_dst[ix.out_ptr[s] : ix.out_ptr[s + 1]]
+    ]
+    # least costs of a first hop and of a bridge's link into dst (a lower
+    # bound, PENALTY_WEIGHT when no bridge links into dst)
+    into_dst = 1 if any(c not in penalized for c in ix.into[d]) else PENALTY_WEIGHT
+    slack = min((c for _, c in first_hops), default=1) + into_dst - 1
+    return _walk(ix, s, d, _relax(ix, d, w, first_hops, slack).tolist(), penalized)
+
+
 def shortest_path(net: Network, src: str, dst: str) -> Route:
     """Minimum-hop route between two end devices."""
     return candidate_routes(net, src, dst, 1)[0]
 
 
-def candidate_routes(net: Network, src: str, dst: str, k: int = 2) -> list[Route]:
-    """Up to k distinct routes, later ones penalized away from earlier ones."""
+def candidate_routes(
+    net: Network, src: str, dst: str, k: int = 2, reverse: dict | None = None
+) -> list[Route]:
+    """Up to k distinct routes, later ones penalized away from earlier ones.
+
+    The first route walks its destination's converged unit-cost reverse
+    distance, read from `reverse` (destination node id -> int64 array) or
+    relaxed and stored there. One dict passed to every call of a batch
+    relaxes each destination once; its distances hold for `net` alone.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     ix = _index(net)
-    found = [_search(ix, src, dst, set())]
+    s, d = _ends(ix, src, dst)
+    if reverse is None:
+        reverse = {}
+    dist = reverse.get(d)
+    if dist is None:
+        dist = reverse[d] = _relax(ix, d, np.ones(len(ix.code), dtype=np.int64))
+    found = [_walk(ix, s, d, dist.tolist(), set())]
     used = set(ix.link_codes(found[0]))
     while len(found) < k:
         nxt = _search(ix, src, dst, used)

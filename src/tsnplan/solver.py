@@ -315,11 +315,15 @@ class Planner:
         # is rejected on its own and takes no share of the budget
         t_route = time.perf_counter()
         routes = {}
+        reverse = {}  # each destination's reverse distance, for this batch only
         for s in batch.add:
             try:
-                routes[s.id] = candidate_routes(self.net, s.src, s.dst, self.k_routes)
+                routes[s.id] = candidate_routes(
+                    self.net, s.src, s.dst, self.k_routes, reverse=reverse
+                )
             except Unreachable:
                 pass
+        del reverse
         routing_s = time.perf_counter() - t_route
         routable = StreamBatch(
             batch.iteration, [s for s in batch.add if s.id in routes], batch.delete

@@ -15,9 +15,18 @@ from tsnplan.conflict_graph import (
     DuplicateConfiguration,
 )
 from tsnplan.expansion import STRATEGIES, ExpansionParams, expand, stream_sums
-from tsnplan.harness import ExperimentConfig, gen_grid, gen_streams, gen_waxman, run_experiment
+from tsnplan.harness import (
+    ExperimentConfig,
+    build_scenario,
+    build_topology,
+    gen_grid,
+    gen_streams,
+    gen_waxman,
+    run_experiment,
+)
 from tsnplan.model import StreamBatch
 from tsnplan.routing import candidate_routes
+from tsnplan.solver import Planner
 from tsnplan.timing import brute_force_conflict, frames_conflict, link_occupancy
 
 from conftest import (
@@ -528,3 +537,42 @@ def reference_page_rank(indptr, indices) -> np.ndarray:
         total = float(np.sum(p_new))
         p = [x / total for x in p_new]
     return np.array(p)
+
+
+def test_a_long_dynamic_run_keeps_the_graph_bounded():
+    """300 updates of +3/-3 around 60 live streams, page-rank, so that every
+    reader of the CSR runs: after each update every structure the graph
+    keeps across updates holds the live streams and nothing more."""
+    cfg = ExperimentConfig(
+        topology={"kind": "grid", "rows": 3, "cols": 3}, initial_streams=60,
+        iterations=300, add_per_iteration=3, del_per_iteration=3, cps=20,
+        scheme="randomized", strategy="page-rank", seed=5)
+    net = build_topology(cfg)
+    planner = Planner(net, cfg.expansion_params(), k_routes=cfg.k_routes)
+    g = planner.graph
+    for batch in build_scenario(cfg, net):
+        delete = [d for d in batch.delete if d in planner.state.admitted]
+        planner.iterate(StreamBatch(batch.iteration, batch.add, delete))
+        n = g.vertex_count
+        admitted = set(planner.state.admitted)
+        assert len(g._indptr) == n + 1  # one CSR row per vertex, none queued
+        color, route, phase = (g._column(name) for name in ("color", "route", "phase"))
+        hops = {
+            (code, r): occupancy.shape[1]
+            for code, (_, routes) in g._colors.items()
+            for r, (*_, occupancy) in routes.items()
+        }
+        want = [hops[c, r] for c, r in zip(color.tolist(), route.tolist())]
+        assert np.bincount(g._store["vid"], minlength=n).tolist() == want
+        assert all(len(col) <= 2 * n + 64 for col in g._vert.values())
+        assert set(g._color_code) == admitted
+        assert {stream.id for stream, _ in g._colors.values()} == admitted
+        assert set(g._colors) == set(g._color_code.values())
+        assert len(g._link_code) <= len(net.links)
+        sids = sorted(admitted)
+        index, _, _ = g.columns(sids)
+        vertices = set(zip(index.tolist(), route.tolist(), phase.tolist()))
+        assert set(planner.state.plan.assignments) == admitted
+        for i, sid in enumerate(sids):
+            c = planner.state.plan.assignments[sid]
+            assert (i, c.route_index, c.phase) in vertices

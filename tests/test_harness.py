@@ -365,6 +365,22 @@ def test_cli_validate_rejects_a_topology_with_a_negative_delay(tmp_path, capsys)
     assert "negative propagation delay" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "where, field, value",
+    [("links", "rate", "1000"), ("links", "propagation_delay", 1.5),
+     ("nodes", "processing_delay", "4")],
+)
+def test_cli_validate_rejects_a_topology_with_a_non_int_field(
+    tmp_path, capsys, where, field, value
+):
+    doc = gen_ring(4).to_dict()
+    doc[where][0][field] = value
+    (tmp_path / "topology.json").write_text(json.dumps(doc))
+    assert validate_plan_file(tmp_path, ["d0", "b0", "b1", "d1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be an int" in err and len(err.strip().splitlines()) == 1
+
+
 def test_cli_validate_reports_missing_files(tmp_path, capsys):
     out, _ = run_and_load_plan(tmp_path, "missing")
     for plan, topology in ((tmp_path / "absent.json", out / "topology.json"),

@@ -1,10 +1,13 @@
 import itertools
+import weakref
 from random import Random
 
 import pytest
 
+from tsnplan import solver
+from tsnplan.expansion import ExpansionParams
 from tsnplan.harness import gen_grid, gen_random, gen_ring, gen_waxman
-from tsnplan.model import BRIDGE, END_DEVICE, Link, Network, Node
+from tsnplan.model import BRIDGE, END_DEVICE, Link, Network, Node, Stream, StreamBatch
 from tsnplan.routing import (
     PENALTY_WEIGHT,
     Route,
@@ -220,3 +223,89 @@ def test_route_properties():
     assert r.hop_count == 3
     assert r.nodes == ("dA", "b0", "b1", "dZ")
     assert r.link_keys == (("dA", "b0"), ("b0", "b1"), ("b1", "dZ"))
+
+
+def routes_of_one_batch(monkeypatch, net, pairs, k):
+    """Plan one batch of streams over `pairs` with k candidates each, and
+    return the candidate routes that `Planner.iterate` handed to expansion,
+    with the iteration's metrics."""
+    handed = {}
+    real_expand = solver.expand
+
+    def expand(g, batch, params, net, routes, *rest):
+        handed.update(routes)
+        return real_expand(g, batch, params, net, routes, *rest)
+
+    monkeypatch.setattr(solver, "expand", expand)
+    planner = solver.Planner(net, ExpansionParams(cps=2, alpha=1), k_routes=k)
+    streams = [Stream(f"s{i}", src, dst, 1000, 125) for i, (src, dst) in enumerate(pairs)]
+    metrics = planner.iterate(StreamBatch(0, streams))
+    return {s.id: handed.get(s.id) for s in streams}, metrics
+
+
+@pytest.mark.parametrize("name", ["waxman40-s0", "one-way-ring5"])
+def test_a_batch_of_streams_sharing_destinations_matches_the_oracle(monkeypatch, name):
+    """Most streams of the batch share one destination, so most first
+    candidates walk one reverse distance; each stream's candidates are the
+    oracle's, and a stream without a route is rejected alone."""
+    net = ORACLE_NETS[name]()
+    ends = sorted(net.nodes) if name in ALL_NODE_ENDPOINTS else net.end_devices()
+    pairs = [(src, ends[2]) for src in ends if src != ends[2]]
+    pairs += [(src, ends[-1]) for src in ends[:4]] + [(ends[-1], ends[0])]
+    routes, metrics = routes_of_one_batch(monkeypatch, net, pairs, 3)
+    unroutable = 0
+    for (src, dst), got in zip(pairs, routes.values()):
+        try:
+            want = oracle_candidate_routes(net, src, dst, 3)
+        except Unreachable:
+            assert got is None, (src, dst)
+            unroutable += 1
+            continue
+        assert [r.links for r in got] == [r.links for r in want], (src, dst)
+    assert metrics.rejected >= unroutable
+    assert unroutable > 0 if name == "one-way-ring5" else unroutable == 0
+
+
+def test_an_unknown_destination_rejects_only_its_stream(monkeypatch):
+    net = gen_ring(6)
+    pairs = [("d0", "d3"), ("d1", "nowhere"), ("d2", "d3"), ("d4", "d0")]
+    routes, metrics = routes_of_one_batch(monkeypatch, net, pairs, 2)
+    assert routes["s1"] is None and metrics.rejected == 1
+    for sid, (src, dst) in zip(routes, pairs):
+        if sid != "s1":
+            want = oracle_candidate_routes(net, src, dst, 2)
+            assert [r.links for r in routes[sid]] == [r.links for r in want]
+
+
+def test_no_reverse_distance_outlives_its_batch(monkeypatch):
+    """Each batch starts from no distances, relaxes each destination once,
+    and has freed every distance before expansion starts."""
+    net = gen_waxman(40, seed=1)
+    ends = net.end_devices()
+    alive, sizes = [], []
+    real_candidate_routes, real_expand = solver.candidate_routes, solver.expand
+
+    def candidate_routes(net, src, dst, k, reverse):
+        sizes.append(len(reverse))
+        try:
+            return real_candidate_routes(net, src, dst, k, reverse=reverse)
+        finally:
+            alive.extend(weakref.ref(dist) for dist in reverse.values())
+
+    def expand(*args):
+        assert all(ref() is None for ref in alive)
+        return real_expand(*args)
+
+    monkeypatch.setattr(solver, "candidate_routes", candidate_routes)
+    monkeypatch.setattr(solver, "expand", expand)
+    planner = solver.Planner(net, ExpansionParams(cps=2, alpha=1))
+    admitted = []
+    for i in range(3):
+        add = [Stream(f"s{i}-{j}", src, ends[j % 3], 1000, 125)
+               for j, src in enumerate(ends[3:12])]
+        sizes.clear()
+        planner.iterate(StreamBatch(i, add, admitted[:2]))
+        admitted = list(planner.state.admitted)
+        # one distance per destination, the first made by the batch itself
+        assert sizes == [0, 1, 2] + [3] * (len(add) - 3)
+        assert all(ref() is None for ref in alive)
