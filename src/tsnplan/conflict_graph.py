@@ -39,9 +39,12 @@ pb / pa, and an offline batch, where every row is queued, finds each pair
 once per shared link. The edges are sorted and deduplicated once per join.
 
 A vertex is a row of integer columns: color code, route index and phase.
-Each live (stream, route index) keeps its route and phase-0 schedule, for
-`config`, and the schedule's (link code, period, start, end) rows as one
-array, which a join shifts by each queued phase. The edges live only in the
+Insertion appends the row to one flat int64 buffer; the columns take all
+buffered rows in one write per column at their next read. Each live
+(stream, route index) keeps its route, its phase-0 schedule and its used
+phases, for `config` and the duplicate check. A join builds the schedule
+rows (link code, period, start, end) of all queued (stream, route) pairs in
+one call and shifts them by each queued phase. The edges live only in the
 CSR (indptr, indices) of the joined vertices. A new edge's later vid is
 queued, so a join sorts the new arcs as (row, column) keys and appends them
 to the old rows. Removing streams masks out their rows and arcs and
@@ -50,8 +53,9 @@ compacts the other ids in order: a vid stays valid until the next removal.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,10 +92,12 @@ class DuplicateConfiguration(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """`schedule` is the phase-0 occupancy of (stream, route), shared by all
-    its configurations; this one's intervals are shifted by `phase`."""
+class Configuration(NamedTuple):
+    """A stream sent on one of its candidate routes at one phase: a vertex of
+    the graph, or a plan's entry. `schedule` is the phase-0 occupancy of
+    (stream, route), shared by all its configurations; this one's intervals
+    are shifted by `phase`. A named tuple, immutable and hashable, because
+    expansion builds one per candidate vertex."""
 
     stream: Stream
     route_index: int
@@ -226,15 +232,15 @@ class _Classes:
 class ConflictGraph:
     def __init__(self):
         self._color_code: dict[str, int] = {}  # live stream id -> color code
-        # live color code -> (stream, {route index: (route, schedule, phases,
-        # its link codes, period, starts and ends as one 4 x hops array)})
+        # live color code -> (stream, {route index: (route, schedule, phases)})
         self._colors: dict[int, tuple[Stream, dict]] = {}
         self._link_code: dict[tuple[str, str], int] = {}
-        # one row per vertex; the arrays grow by doubling, so only the first
-        # _n rows are vertices
+        # one row per vertex, but the rows added since the last read of a
+        # column wait in _pending as flat (color code, route index, phase)
         self._vert = {name: np.empty(0, dtype=t) for name, t in _VERTEX_COLUMNS.items()}
+        self._pending = array("q")
         self._n = 0
-        self._added = 0
+        self._removed = 0
         # the intervals of the joined vertices, sorted by (link, period, start)
         self._store = {name: np.empty(0, dtype=t) for name, t in _COLUMNS.items()}
         self._periods = np.empty(0, dtype=np.int64)  # the periods the keys rank
@@ -253,7 +259,7 @@ class ConflictGraph:
     def slot_count(self) -> int:
         """Number of vertices ever added, removed ones included. Ids are
         compacted, so this is not the range of the vids."""
-        return self._added
+        return self._n + self._removed
 
     @property
     def edge_count(self) -> int:
@@ -264,7 +270,14 @@ class ConflictGraph:
         return set(self._color_code)
 
     def _column(self, name: str) -> np.ndarray:
-        return self._vert[name][: self._n]
+        if self._pending:  # the pending rows join the columns, one write each
+            rows = np.frombuffer(self._pending, dtype=np.int64).reshape(-1, 3)
+            self._vert = {
+                k: np.concatenate([col, rows[:, i]], dtype=col.dtype, casting="same_kind")
+                for i, (k, col) in enumerate(self._vert.items())
+            }
+            self._pending = array("q")
+        return self._vert[name]
 
     def vids_of(self, stream_id: str) -> list[int]:
         code = self._color_code.get(stream_id, -1)
@@ -288,28 +301,30 @@ class ConflictGraph:
     # -- mutation ----------------------------------------------------------
 
     def add_configuration(self, cfg: Configuration) -> int:
-        """Give the configuration a vid and queue it for the next join."""
-        sid = cfg.stream.id
-        # a new stream's code is the number of vertices added before it
-        code = self._color_code.setdefault(sid, self._added)
-        if code == self._added:
-            self._colors[code] = (cfg.stream, {})
-        routes = self._colors[code][1]
-        if cfg.route_index not in routes:
-            links, p = self._link_code, cfg.stream.period
-            rows = [(links.setdefault(k, len(links)), p, s, e) for k, s, e in cfg.schedule.entries]
-            routes[cfg.route_index] = (cfg.route, cfg.schedule, set(), np.array(rows).T)
-        phases = routes[cfg.route_index][2]
-        if cfg.phase in phases:
+        """Give the configuration a vid and queue it for the next join. A
+        live stream id keeps the stream it was first added with, and a
+        (stream id, route index) its route and schedule: another one raises
+        ValueError."""
+        stream, route_index, route, phase, schedule = cfg
+        code = self._color_code.get(stream.id)
+        if code is None:
+            # a new stream's code is the number of vertices added before it
+            code = self._color_code[stream.id] = self.slot_count
+            self._colors[code] = (stream, {})
+        known, routes = self._colors[code]
+        if known is not stream and known != stream:
+            raise ValueError(f"{cfg.key}: stream {stream} differs from the added {known}")
+        entry = routes.get(route_index)
+        if entry is None:
+            entry = routes[route_index] = (route, schedule, set())
+        elif (entry[0] is not route or entry[1] is not schedule) and entry[:2] != (route, schedule):
+            raise ValueError(f"{cfg.key}: route {route} or its schedule differs from the added one")
+        if phase in entry[2]:
             raise DuplicateConfiguration(f"{cfg.key} already present")
-        phases.add(cfg.phase)
+        entry[2].add(phase)
+        self._pending.extend((code, route_index, phase))
         vid = self._n
-        if vid == len(self._vert["color"]):
-            self._vert = {name: np.resize(col, 2 * vid + 64) for name, col in self._vert.items()}
-        for name, value in zip(_VERTEX_COLUMNS, (code, cfg.route_index, cfg.phase)):
-            self._vert[name][vid] = value
-        self._n += 1
-        self._added += 1
+        self._n = vid + 1
         return vid
 
     def remove_streams(self, stream_ids: Iterable[str]) -> int:
@@ -398,14 +413,26 @@ class ConflictGraph:
         phase = self._column("phase")[first:]
         # the queued vertices' (color, route index) pairs, one schedule each
         pairs, which = np.unique(color << 32 | self._column("route")[first:], return_inverse=True)
-        occupancy = [self._colors[p >> 32][1][p & _LOW][3] for p in pairs.tolist()]
-        link, period, start, end = np.concatenate(occupancy, axis=1)
-        hops = np.array([o.shape[1] for o in occupancy], dtype=np.int64)
+        # the schedule rows of every pair, built in one go
+        entries, hops, periods = [], [], []
+        for p in pairs.tolist():
+            stream, routes = self._colors[p >> 32]
+            schedule = routes[p & _LOW][1]
+            entries += schedule.entries
+            hops.append(len(schedule.entries))
+            periods.append(stream.period)
+        link_keys, start, end = zip(*entries)
+        links = self._link_code
+        link = np.array([links.setdefault(k, len(links)) for k in link_keys], dtype=np.int64)
+        start, end = np.array(start, dtype=np.int64), np.array(end, dtype=np.int64)
+        hops = np.array(hops, dtype=np.int64)
         vert, hop = _ragged(hops[which])
-        entry = (np.cumsum(hops) - hops)[which][vert] + hop
+        pair = which[vert]
+        entry = (np.cumsum(hops) - hops)[pair] + hop
         return {
-            "link": link[entry], "period": period[entry], "start": start[entry] + phase[vert],
-            "end": end[entry] + phase[vert], "vid": first + vert,
+            "link": link[entry], "period": np.array(periods, dtype=np.int64)[pair],
+            "start": start[entry] + phase[vert], "end": end[entry] + phase[vert],
+            "vid": first + vert,
         }
 
     def _flush_removals(self) -> None:
@@ -424,7 +451,8 @@ class ConflictGraph:
         deg -= np.bincount(indices[lost], minlength=len(deg))
         self._indptr = np.concatenate([[0], np.cumsum(deg[kept])])
         self._indices = new_vid[indices[arcs]]
-        self._vert = {name: self._column(name)[keep] for name in _VERTEX_COLUMNS}
+        self._vert = {name: col[keep] for name, col in self._vert.items()}
+        self._removed += self._n - len(self._vert["color"])
         self._n = len(self._vert["color"])
         rows = keep[self._store["vid"]]
         self._store = {name: col[rows] for name, col in self._store.items()}

@@ -142,8 +142,10 @@ def randomized_enumeration(
     out: list[tuple[int, int]] = []
     for ri in range(m):
         if alloc[ri]:
-            for rank in rng.sample(range(pool_sizes[ri]), alloc[ri]):
-                out.append((ri, _unused_phase(rank, used[ri])))
+            phases = rng.sample(range(pool_sizes[ri]), alloc[ri])
+            if used[ri]:  # otherwise a rank is its phase
+                phases = [_unused_phase(rank, used[ri]) for rank in phases]
+            out += [(ri, phi) for phi in phases]
     return out
 
 
@@ -281,27 +283,31 @@ def expand(
     delta = None
     if params.scheme == "deterministic":
         delta = max(1, delta_75(new_streams, net))
-    placed: dict[str, set[tuple[int, int]]] = {s.id: set() for s in new_streams}
     # one phase-0 schedule per candidate route, shared by its configurations
     base = {
         s.id: [timing.link_occupancy(net, s, r, 0) for r in routes[s.id]]
         for s in new_streams
     }
 
-    def place(stream: Stream, budget: int) -> None:
+    def place(
+        stream: Stream, budget: int, placed: set[tuple[int, int]] | None = None
+    ) -> list[tuple[int, int]]:
+        """Add up to `budget` of the stream's (route index, phase) pairs not
+        in `placed`, and return them."""
         budget = min(budget, vbar - g.vertex_count)
         if budget <= 0:
-            return
+            return []
         rts, scheds = routes[stream.id], base[stream.id]
         mps = [stream.period - sched.arrival for sched in scheds]
         if params.scheme == "deterministic":
-            combos = deterministic_enumeration(mps, budget, delta, placed[stream.id])
+            combos = deterministic_enumeration(mps, budget, delta, placed)
         else:
-            combos = randomized_enumeration(mps, budget, rng, placed[stream.id])
+            combos = randomized_enumeration(mps, budget, rng, placed)
+        add = g.add_configuration
         for ri, phi in combos:
-            g.add_configuration(Configuration(stream, ri, rts[ri], phi, scheds[ri]))
-            placed[stream.id].add((ri, phi))
+            add(Configuration(stream, ri, rts[ri], phi, scheds[ri]))
         report.surplus[stream.id] = report.surplus.get(stream.id, 0) + budget - len(combos)
+        return combos
 
     if params.strategy == "homogeneous":
         budgets = budget_homogeneous(batch, vbar, g)
@@ -314,8 +320,7 @@ def expand(
             place(s, budgets[s.id])
     else:  # two-step strategies: base placement first, metric budgets second
         r_i = remaining_budget(vbar, g, batch, params.alpha)
-        for s in new_streams:
-            place(s, params.alpha)
+        placed = {s.id: set(place(s, params.alpha)) for s in new_streams}
         g.join_queued()  # the metric reads the edges: join here, as at the end
         if params.strategy == "avg-degree":
             extras = budget_avg_degree(batch, r_i, g)
@@ -323,7 +328,7 @@ def expand(
             extras = budget_page_rank(batch, r_i, g)
         budgets = {s.id: params.alpha + extras[s.id] for s in new_streams}
         for s in new_streams:
-            place(s, extras[s.id])
+            place(s, extras[s.id], placed[s.id])
 
     # the join is graph creation: run it here, in expansion's own time, not
     # inside the first read of the edges

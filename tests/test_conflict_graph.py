@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from random import Random
 
 import numpy as np
@@ -24,8 +25,8 @@ from tsnplan.harness import (
     gen_waxman,
     run_experiment,
 )
-from tsnplan.model import StreamBatch
-from tsnplan.routing import candidate_routes
+from tsnplan.model import Stream, StreamBatch
+from tsnplan.routing import Route, candidate_routes
 from tsnplan.solver import Planner
 from tsnplan.timing import brute_force_conflict, frames_conflict, link_occupancy
 
@@ -156,6 +157,98 @@ def test_duplicate_configuration_raises(shared_net):
     g.add_configuration(cfg(shared_net, "s0", 0, 0))
     with pytest.raises(DuplicateConfiguration):
         g.add_configuration(cfg(shared_net, "s0", 0, 0))
+
+
+def test_a_stream_or_route_other_than_the_added_one_raises():
+    """A live stream id keeps the stream it was first added with, and a
+    (stream id, route index) its route and schedule: another one raises
+    ValueError and adds nothing. Equal copies of them are the same."""
+    net = gen_grid(3, 3)
+    s = Stream("s0", "d0", "d8", 1000, 500)
+    route_a, route_b = candidate_routes(net, "d0", "d8", 2)
+    g = ConflictGraph()
+    g.add_configuration(build_config(net, s, 0, route_a, 0))
+    with pytest.raises(ValueError, match="route"):
+        g.add_configuration(build_config(net, s, 0, route_b, 10))
+    with pytest.raises(ValueError, match="stream"):  # another period
+        g.add_configuration(build_config(net, replace(s, period=500), 1, route_b, 0))
+    bad = Configuration(s, 0, route_a, 20, link_occupancy(net, replace(s, size=1500), route_a, 0))
+    with pytest.raises(ValueError, match="route"):  # another schedule
+        g.add_configuration(bad)
+    assert g.vertex_count == 1 and g.slot_count == 1
+    v = g.add_configuration(build_config(net, replace(s), 0, Route(route_a.links), 10))
+    w = g.add_configuration(build_config(net, s, 1, route_b, 10))
+    assert [g.config(u).route for u in (v, w)] == [route_a, route_b]
+    assert {g.config(u).stream.period for u in range(3)} == {1000}
+    assert g.edge_count == 0
+
+
+def test_queued_vertices_are_visible_before_the_join(shared_net):
+    """Between add_configuration and the join, every reader of the vertices
+    sees the queued ones, and a removal drops them; a duplicate raises
+    before and after the join."""
+    g = ConflictGraph()
+    g.add_configuration(cfg(shared_net, "s0", 0, 0))
+    g.add_configuration(cfg(shared_net, "s1", 1, 0))
+    g.join_queued()
+    a = g.add_configuration(cfg(shared_net, "s0", 0, 50))
+    b = g.add_configuration(cfg(shared_net, "s2", 2, 1))
+    c = g.add_configuration(cfg(shared_net, "s1", 1, 60))
+    assert len(g._indptr) == 3  # a, b and c are queued
+    assert (a, b, c) == (2, 3, 4) and g.vertex_count == 5 and g.slot_count == 5
+    assert g.vids_of("s0") == [0, a] and g.vids_of("s2") == [b]
+    index, route, phase = g.columns(["s2", "s0"])
+    assert index.tolist() == [1, -1, 1, 0, -1]
+    assert route.tolist() == [0] * 5 and phase.tolist() == [0, 0, 50, 1, 60]
+    assert g.config(b).key == ("s2", 0, 1) and g.config(c).key == ("s1", 0, 60)
+    for stream_id, phase in (("s0", 0), ("s0", 50), ("s2", 1)):
+        with pytest.raises(DuplicateConfiguration):
+            g.add_configuration(cfg(shared_net, stream_id, int(stream_id[1]), phase))
+    assert g.remove_streams(["s2"]) == 1
+    assert g.vertex_count == 4 and g.slot_count == 5 and len(g._indptr) == 3
+    assert [g.config(v).key for v in range(4)] == [
+        ("s0", 0, 0), ("s1", 0, 0), ("s0", 0, 50), ("s1", 0, 60)]
+    assert_joined_as_oracle(g)
+    for stream_id, phase in (("s0", 0), ("s0", 50), ("s1", 60)):
+        with pytest.raises(DuplicateConfiguration):
+            g.add_configuration(cfg(shared_net, stream_id, int(stream_id[1]), phase))
+    assert g.vertex_count == 4
+
+
+def test_vertex_columns_stay_right_as_they_grow():
+    """More than 64 vertices, some of them joined and some queued, then a
+    removal, then more vertices: the columns hold every live vertex in vid
+    order, and the joins match the oracle."""
+    net = shared_link_net(n_pairs=4)
+    g = ConflictGraph()
+    added = []  # (stream id, phase) of the live vertices, in vid order
+
+    def add(i, phases):
+        for phi in phases:
+            assert g.add_configuration(cfg(net, f"s{i}", i % 4, phi, period=200)) == len(added)
+            added.append((f"s{i}", phi))
+
+    def check():
+        sids = sorted({sid for sid, _ in added})
+        index, route, phase = g.columns(sids)
+        assert [(sids[i], phi) for i, phi in zip(index.tolist(), phase.tolist())] == added
+        assert route.tolist() == [0] * len(added) and g.vertex_count == len(added)
+
+    for i in range(5):
+        add(i, range(i, 200, 13))  # 16 vertices per stream
+        if i == 2:
+            g.join_queued()
+    check()
+    assert g.vertex_count == 80
+    assert_joined_as_oracle(g)
+    add(5, range(0, 200, 3))
+    assert g.remove_streams(["s1", "s3"]) == 32
+    added = [(sid, phi) for sid, phi in added if sid not in ("s1", "s3")]
+    check()
+    add(6, range(1, 200, 2))
+    check()
+    assert g.slot_count == 80 + 67 + 100
+    assert_joined_as_oracle(g)
 
 
 def test_remove_only_color(shared_net):
@@ -558,9 +651,9 @@ def test_a_long_dynamic_run_keeps_the_graph_bounded():
         assert len(g._indptr) == n + 1  # one CSR row per vertex, none queued
         color, route, phase = (g._column(name) for name in ("color", "route", "phase"))
         hops = {
-            (code, r): occupancy.shape[1]
+            (code, r): len(schedule.entries)
             for code, (_, routes) in g._colors.items()
-            for r, (*_, occupancy) in routes.items()
+            for r, (_, schedule, _) in routes.items()
         }
         want = [hops[c, r] for c, r in zip(color.tolist(), route.tolist())]
         assert np.bincount(g._store["vid"], minlength=n).tolist() == want

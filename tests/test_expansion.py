@@ -455,6 +455,33 @@ def test_expand_computes_occupancy_once_per_candidate_route(monkeypatch, strateg
     assert g.vertex_count == 30
 
 
+@pytest.mark.parametrize("strategy", ["traffic-volume", "avg-degree"])
+@pytest.mark.parametrize("scheme", ["deterministic", "randomized"])
+def test_expand_adds_each_vertex_with_one_add_configuration_call(monkeypatch, strategy,
+                                                                 scheme):
+    """One `add_configuration` call per added vertex, none for old streams:
+    the benchmark's traced runs check that graph.insert.calls equals the id
+    slots, so a bulk insertion path must change that check first."""
+    real = ConflictGraph.add_configuration
+    calls = []
+
+    def counted(g, cfg):
+        calls.append(cfg.key)
+        return real(g, cfg)
+
+    monkeypatch.setattr(ConflictGraph, "add_configuration", counted)
+    old = [ring_stream("old", src="d3", dst="d1")]
+    g, _ = expand_on_ring(old, ExpansionParams(cps=4, alpha=2))
+    streams = [ring_stream("s0"), ring_stream("s1", src="d1", dst="d3", period=250),
+               ring_stream("s2", src="d0", dst="d1", size=1500)]
+    params = ExpansionParams(cps=10, alpha=3, scheme=scheme, strategy=strategy, rng_seed=4)
+    calls.clear()
+    g, report = expand_on_ring(streams, params, cps_graph=g, live_extra=old)
+    assert len(calls) == report.vertices_added == g.vertex_count - 4 > 0
+    assert g.slot_count == g.vertex_count
+    assert sorted(calls) == sorted(g.config(v).key for v in range(4, g.vertex_count))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 4),
