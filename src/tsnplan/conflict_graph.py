@@ -1,10 +1,9 @@
 """Vertex-colored conflict graph over (stream, route, phase) configurations.
 
 Vertices are configurations, colors are streams, and an edge joins two
-differently-colored configurations whose frames overlap on a shared directed
-link somewhere in their pairwise hypercycle. Same-color conflicts are never
-materialized: the colorful-set rule already forbids picking two vertices of
-one color.
+differently-colored configurations whose periodically repeated frames overlap
+on a shared directed link. Same-color conflicts are never materialized: the
+colorful-set rule already forbids picking two vertices of one color.
 
 Insertion only queues a vertex. `join_queued` joins every queued vertex
 against the stored intervals, and against the other queued vertices, in one
@@ -21,14 +20,14 @@ sorts only the queued rows and merges them in: one `searchsorted` of their
 keys in the stored keys gives their rows, and the same rows place them in
 every column.
 
-Two intervals conflict only if some multiple m of g = gcd(pa, pb) satisfies
-sa - eb < m < ea - sb. So the starts in a class that can conflict with a
-query interval lie in one window per such m, as wide as the query plus the
-class's longest interval, and `searchsorted` finds each window. When the
-windows touch, or outnumber the class's rows or `MAX_WINDOWS`, the query
-scans one window that spans them all instead. The band test of
-`periodic_overlap`, `overlap_in_band`, is the exact filter on every
-candidate, with the gcd and band of each query row and class computed once.
+Two intervals conflict exactly when some multiple m of g = gcd(pa, pb)
+satisfies sa - eb < m < ea - sb. So the starts in a class that can conflict
+with a query interval lie in one window per such m, as wide as the query
+plus the class's longest interval, and `searchsorted` finds each window.
+When the windows touch, or outnumber the class's rows or `MAX_WINDOWS`, the
+query scans one window that spans them all instead. `overlap_modulo`, the
+form of `periodic_overlap` for a known gcd, is the exact filter on every
+candidate, with the gcd of each query row and class computed once.
 
 Only the queued rows search. A queued row searches every class on its link
 that holds joined rows. A pair of queued rows is found from one side: in a
@@ -63,13 +62,13 @@ from .model import Stream
 from .routing import Route
 # link_occupancy is not called here, but perfbench/tracing.py wraps the name
 # in this namespace and fails a traced run when it is missing.
-from .timing import OccupancySchedule, link_occupancy, overlap_in_band  # noqa: F401
+from .timing import OccupancySchedule, link_occupancy, overlap_modulo  # noqa: F401
 
 PAGERANK_DAMPING = 0.85
 PAGERANK_ITERATIONS = 4
 
 #: queued intervals per join chunk, windows per query interval and class, and
-#: candidate rows per `overlap_in_band` call; together they bound the join's
+#: candidate rows per `overlap_modulo` call; together they bound the join's
 #: temporary arrays
 JOIN_CHUNK = 512
 MAX_WINDOWS = 64
@@ -118,6 +117,14 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, rank
 
 
+def _rows(indptr: np.ndarray, vids: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Positions in the CSR's `indices` of the rows of `vids`, concatenated;
+    `deg` holds the rows' lengths."""
+    pos = np.repeat(indptr[vids] - (np.cumsum(deg) - deg), deg)
+    pos += np.arange(len(pos))
+    return pos
+
+
 def _store_keys(link: np.ndarray, period: np.ndarray, start: np.ndarray,
                 periods: np.ndarray) -> np.ndarray:
     """One int64 per row that increases with (link, period, start): the class
@@ -134,7 +141,7 @@ def _key_class(key: np.ndarray, periods: np.ndarray) -> tuple[np.ndarray, np.nda
 
 class _Classes:
     """The (link, period) classes of a sorted store: per class its period,
-    first row, row count, longest interval, first and last start and whether
+    first row, row count, longest interval, first start, last end and whether
     it holds only queued rows. The store key increases through the whole
     store, so one `searchsorted` finds a window of starts inside any class."""
 
@@ -147,10 +154,10 @@ class _Classes:
         link, self.period = _key_class(key[first], periods)
         self.size = last - first
         self.longest = np.maximum.reduceat(store["end"] - (key & _LOW), first)
-        self.smin, self.smax = key[first] & _LOW, key[last - 1] & _LOW
-        # a bound on the last tick a row of the class holds, and the windows
-        # a query may search in it before it scans one spanning window
-        self.reach = self.smax + self.longest - 1
+        self.smin = key[first] & _LOW
+        # the last tick a row of the class holds, and the windows a query may
+        # search in it before it scans one spanning window
+        self.reach = np.maximum.reduceat(store["end"], first) - 1
         self.max_windows = np.minimum(self.size, MAX_WINDOWS)
         self.queued = np.logical_and.reduceat(queued, first)
         # the key of start s in class c is base[c] + s
@@ -179,14 +186,10 @@ class _Classes:
         met = ~self.queued[c] | (c <= own[qi])
         qi, c = qi[met], c[met]
         sa, ea = q["key"][qi] & _LOW, q["end"][qi]
-        pa, pb, longest = self.period[own[qi]], self.period[c], self.longest[c]
-        g = np.gcd(pa, pb)
-        h = pa // g * pb
-        band_lo, band_hi = pa - h, h - pb
-        # the multiples m of g that some row of the class can satisfy, within
-        # the band of achievable start differences
-        lo = np.maximum(sa - self.reach[c], band_lo)
-        hi = np.minimum(ea - self.smin[c] - 1, band_hi)
+        g, longest = np.gcd(self.period[own[qi]], self.period[c]), self.longest[c]
+        # the multiples m of g that some row of the class can satisfy
+        lo = sa - self.reach[c]
+        hi = ea - self.smin[c] - 1
         m_first = -(-lo // g) * g
         m_last = hi // g * g
         n_win = np.maximum((m_last - m_first) // g + 1, 0)
@@ -219,9 +222,7 @@ class _Classes:
             n = n_cand[a:b]
             p = np.repeat(w[a:b], n)  # the candidates' (query row, class) pairs
             j = np.repeat(row_lo[a:b] - (np.cumsum(n) - n), n) + np.arange(len(p))
-            hit = overlap_in_band(
-                sa[p], ea[p], store["key"][j] & _LOW, store["end"][j], g[p], band_lo[p], band_hi[p]
-            )
+            hit = overlap_modulo(sa[p], ea[p], store["key"][j] & _LOW, store["end"][j], g[p])
             vid, qvid = store["vid"][j[hit]], q["vid"][qi[p[hit]]]
             keep = color[vid] != color[qvid]  # no edges within a color
             vid, qvid = vid[keep], qvid[keep]
@@ -444,8 +445,7 @@ class ConflictGraph:
         kept, deg = keep[: len(indptr) - 1], np.diff(indptr)
         # an arc stays when its column and its row stay; the arcs of the
         # removed rows are the twins of the arcs the kept rows lose
-        owner, rank = _ragged(deg[~kept])
-        lost = indptr[:-1][~kept][owner] + rank
+        lost = _rows(indptr, np.flatnonzero(~kept), deg[~kept])
         arcs = keep[indices]
         arcs[lost] = False
         deg -= np.bincount(indices[lost], minlength=len(deg))

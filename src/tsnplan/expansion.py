@@ -189,9 +189,11 @@ def budget_homogeneous(batch: StreamBatch, vbar: int, g: ConflictGraph) -> dict[
 
 def raw_traffic_volume(batch: StreamBatch, r_i: int, all_streams: list[Stream]):
     """Exact raw extras of the traffic-volume formula, or None when the
-    denominator degenerates (every new stream at maximal volume)."""
-    vbar = Fraction(MTU, min(s.period for s in all_streams))
+    denominator degenerates (every new stream at maximal volume). The
+    maximal volume is an MTU per shortest period, or a new stream's volume
+    where one is larger, so that no extra is negative."""
     vols = {s.id: traffic_volume(s) for s in batch.add}
+    vbar = max([Fraction(MTU, min(s.period for s in all_streams)), *vols.values()])
     denom = vbar * len(batch.add) - sum(vols.values())
     if denom == 0:
         return None

@@ -16,8 +16,8 @@ from typing import Iterable
 BRIDGE = "bridge"
 END_DEVICE = "end-device"
 
-#: periods are below this bound, so the lcm of any two stays below 2**63
-#: and the conflict test's int64 arithmetic cannot wrap
+#: periods are below this bound, so every start the conflict graph stores
+#: fits in the low 32 bits of its interval-store key
 MAX_PERIOD = 2**31
 
 
@@ -179,8 +179,6 @@ class StreamBatch:
         unknown = set(self.delete) - admitted
         if unknown:
             raise ValueError(f"delete set names unadmitted ids: {sorted(unknown)}")
-        if add_ids & set(self.delete):
-            raise ValueError("add and delete sets overlap")
 
 
 @dataclass

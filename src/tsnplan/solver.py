@@ -20,7 +20,7 @@ from random import Random
 
 import numpy as np
 
-from .conflict_graph import Configuration, ConflictGraph
+from .conflict_graph import Configuration, ConflictGraph, _rows
 from .expansion import ExpansionParams, expand
 from .model import IterationState, Network, StreamBatch, hypercycle
 from .routing import Unreachable, candidate_routes
@@ -54,14 +54,6 @@ class IterationMetrics:
     vertices: int
     edges: int
     routing_ms: float
-
-
-def _rows(indptr: np.ndarray, vids: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """Positions in the CSR's `indices` of the rows of `vids`, concatenated;
-    `deg` holds the rows' lengths."""
-    pos = np.repeat(indptr[vids] - (np.cumsum(deg) - deg), deg)
-    pos += np.arange(len(pos))
-    return pos
 
 
 def gfh_solve(

@@ -60,35 +60,28 @@ def link_occupancy(
 
 def periodic_overlap(sa, ea, pa, sb, eb, pb):
     """Do the periodic repetitions of [sa,ea) mod pa and [sb,eb) mod pb
-    overlap anywhere within their common hypercycle? Arguments are integers
-    or int64 arrays and broadcast; the result is a boolean array. The
-    arithmetic is int64: periods below `MAX_PERIOD` keep lcm(pa, pb) below
-    2**63.
+    overlap? Arguments are integers or int64 arrays and broadcast; the
+    result is a boolean array.
 
-    Repetition indices range over [0, H/p) with H = lcm(pa, pb); the
-    achievable start differences are exactly the multiples of gcd(pa, pb)
-    in [-(H - pa), H - pb] shifted by sb - sa.
+    Repetitions ka of a and kb of b overlap iff sa - eb < m < ea - sb for
+    m = kb*pb - ka*pa, and these m are exactly the multiples of
+    g = gcd(pa, pb), for intervals of any start and length.
     """
-    g = np.gcd(pa, pb)
-    h = pa // g * pb
-    return overlap_in_band(sa, ea, sb, eb, g, pa - h, h - pb)
+    return overlap_modulo(sa, ea, sb, eb, np.gcd(pa, pb))
 
 
-def overlap_in_band(sa, ea, sb, eb, g, band_lo, band_hi):
-    """`periodic_overlap` for a period pair whose g = gcd(pa, pb) and band
-    of achievable start differences [band_lo, band_hi] = [pa - H, H - pb]
-    are already known, so that many intervals of one pair share them."""
-    # need a multiple m*g with sa - eb < m*g < ea - sb, within the achievable band
-    lo = np.maximum(sa - eb + 1, band_lo)
-    hi = np.minimum(ea - sb - 1, band_hi)
-    return (lo <= hi) & (lo <= hi // g * g)  # any multiple of g in [lo, hi]?
+def overlap_modulo(sa, ea, sb, eb, g):
+    """`periodic_overlap` for a period pair whose g = gcd(pa, pb) is already
+    known, so that many intervals of one pair share it: is some multiple of
+    g in (sa - eb, ea - sb)?"""
+    return sa - eb < (ea - sb - 1) // g * g
 
 
 def frames_conflict(
     a: OccupancySchedule, period_a: int, b: OccupancySchedule, period_b: int
 ) -> bool:
     """True iff any frame repetitions of the two schedules overlap on a
-    shared directed link within their pairwise hypercycle."""
+    shared directed link."""
     pairs = [
         (sa, ea, sb, eb)
         for key_a, sa, ea in a.entries

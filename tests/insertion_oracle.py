@@ -46,7 +46,7 @@ class _Bucket:
 
     def query(self, start: int, end: int, period: int, color: int) -> np.ndarray:
         """Vids of stored intervals of other colors whose periodic repetitions
-        overlap [start, end) repeated with `period` (hypercycle-bounded)."""
+        overlap [start, end) repeated with `period`."""
         n = self.n
         hit = periodic_overlap(
             start, end, period, self.start[:n], self.end[:n], self.period[:n]

@@ -565,6 +565,32 @@ def test_join_after_the_periods_change(shared_net):
     assert g.edge_count > 0
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_join_of_phases_past_the_period_matches_brute_force(shared_net, seed):
+    """Phases up to three periods, so that frames start past their period or
+    cross its end: the edges are the pairs whose ticks the brute-force
+    oracle finds double-booked."""
+    rng = Random(seed)
+    g = ConflictGraph()
+    for n in range(8):
+        i, j, period = rng.randrange(4), rng.randrange(4), rng.choice([25, 50, 60, 100, 150])
+        s = mkstream(f"s{n}", period=period, size=rng.choice([125, 500]), src=f"a{i}", dst=f"z{j}")
+        route = through_route(shared_net, i, j)
+        for phase in rng.sample(range(3 * period), 5):
+            g.add_configuration(build_config(shared_net, s, 0, route, phase))
+    vids = live_vids(g)
+    expected = {
+        (u, v) for u, v in itertools.combinations(vids, 2)
+        if g.config(u).stream.id != g.config(v).stream.id
+        and brute_force_conflict(
+            occupancy(shared_net, g.config(u)), g.config(u).stream.period,
+            occupancy(shared_net, g.config(v)), g.config(v).stream.period,
+        )
+    }
+    assert {(u, v) for u in vids for v in neighbors(g, u) if u < v} == expected
+    assert g.edge_count == len(expected) > 0
+
+
 def assert_csr_as_oracle(g: ConflictGraph) -> None:
     """The CSR equals the linear-scan oracle's, with one row per vertex,
     each strictly ascending, and two arcs per edge."""

@@ -394,6 +394,26 @@ def test_expand_traffic_volume_counts():
     assert len(g.vids_of("s0")) == 11 and len(g.vids_of("s1")) == 9
 
 
+def test_expand_traffic_volume_above_the_mtu_keeps_the_base_budget():
+    # a 3000 B frame per 250 ticks has twice the volume of an MTU per
+    # shortest period: its extra must still be >= 0, not eat its alpha
+    streams = [
+        ring_stream("a", period=250, size=3000),
+        ring_stream("b", period=500, size=125, src="d1", dst="d3"),
+        ring_stream("c", period=250, size=125, src="d2", dst="d0"),
+    ]
+    raws = raw_traffic_volume(StreamBatch(0, add=streams), 45, streams)
+    assert all(v >= 0 for v in raws.values()) and sum(raws.values()) == 45
+    params = ExpansionParams(cps=20, alpha=5, strategy="traffic-volume")
+    g, report = expand_on_ring(streams, params)
+    net = gen_ring(4)
+    for s in streams:
+        routes = candidate_routes(net, s.src, s.dst, 2)
+        pool = sum(max(0, mp + 1) for mp in max_phases(net, s, routes))
+        assert report.budgets[s.id] >= params.alpha
+        assert len(g.vids_of(s.id)) >= min(params.alpha, pool)
+
+
 def test_expand_deterministic_ladder_layout():
     streams = [ring_stream("s0")]
     params = ExpansionParams(cps=6, scheme="deterministic")

@@ -326,10 +326,10 @@ def test_cli_validate_rejects_a_route_over_a_missing_link(tmp_path, capsys):
     assert "nowhere" in err and len(err.strip().splitlines()) == 1
 
 
-def validate_plan_file(tmp_path, nodes):
+def validate_plan_file(tmp_path, nodes, phase=0):
     """Exit code of `tsnplan validate` on tmp_path/topology.json and a plan
-    whose only stream takes `nodes`."""
-    spec = {"nodes": nodes, "route_index": 0, "phase": 0, "period": 1000, "size": 125}
+    whose only stream takes `nodes` at `phase`."""
+    spec = {"nodes": nodes, "route_index": 0, "phase": phase, "period": 1000, "size": 125}
     (tmp_path / "plan.json").write_text(json.dumps({"streams": {"s0": spec}}))
     return main(["validate", str(tmp_path / "plan.json"), str(tmp_path / "topology.json")])
 
@@ -340,6 +340,13 @@ def test_cli_validate_rejects_a_route_that_repeats_a_node(tmp_path, capsys):
     assert validate_plan_file(tmp_path, nodes) == 2
     err = capsys.readouterr().err
     assert "repeats a node" in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_validate_rejects_a_phase_that_is_not_an_int(tmp_path, capsys):
+    gen_ring(4).save(tmp_path / "topology.json")
+    assert validate_plan_file(tmp_path, ["d0", "b0", "b1", "d1"], phase="0") == 2
+    err = capsys.readouterr().err
+    assert "phase must be ints" in err and len(err.strip().splitlines()) == 1
 
 
 def test_cli_validate_rejects_a_route_through_an_end_device(tmp_path, capsys):
@@ -436,9 +443,10 @@ def test_cli_config_errors(tmp_path):
     {"topology": {"kind": "grid", "rows": 2, "cols": 2, "extra": 1}},
     {"topology": {"kind": "ring", "n": 4, "seed": 3}},
     {"topology": {"kind": ["ring"], "n": 4}},
+    {"topology": [1]},
 ], ids=["cps-str", "ring-n-str", "size-0", "no-sizes", "k-routes-0", "iterations-str",
         "negative-initial-streams", "out-dir-int", "random-misspelt-p", "grid-extra-key",
-        "ring-seed-key", "kind-list"])
+        "ring-seed-key", "kind-list", "topology-list"])
 def test_cli_run_refuses_a_malformed_field(tmp_path, capsys, fields):
     assert main(["run", "--config", write_cfg(tmp_path, **fields)]) == 2
     err = capsys.readouterr().err
@@ -446,7 +454,7 @@ def test_cli_run_refuses_a_malformed_field(tmp_path, capsys, fields):
 
 
 def test_cli_run_refuses_periods_of_2_pow_31_and_more(tmp_path, capsys):
-    # the lcm of these periods wraps int64 in the conflict test
+    # starts of these periods do not fit the 32 bits of the store key
     bad = write_cfg(tmp_path, periods=[3500000017, 3500000011])
     assert main(["run", "--config", bad]) == 2
     err = capsys.readouterr().err

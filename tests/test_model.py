@@ -93,8 +93,12 @@ def test_batch_check_rules():
         StreamBatch(0, add=[s]).check({"s1"})
     with pytest.raises(ValueError):
         StreamBatch(0, delete=["ghost"]).check(set())
-    with pytest.raises(ValueError):
+    # an id both added and deleted fails the check on admitted ids first, or
+    # the check on unknown deletions when it is not admitted
+    with pytest.raises(ValueError, match="reuses admitted"):
         StreamBatch(0, add=[s], delete=["s1"]).check({"s1"})
+    with pytest.raises(ValueError, match="unadmitted"):
+        StreamBatch(0, add=[s], delete=["s1"]).check(set())
 
 
 def test_validate_network_ring_ok():

@@ -124,7 +124,10 @@ def test_oracle_bound():
 
 
 @st.composite
-def schedule_pair(draw):
+def schedule_pair(draw, late=False):
+    """Two schedules with their periods. Each interval lies in [0, period),
+    or, when `late`, starts anywhere in [0, 3 * period) and lasts up to one
+    period."""
     links = [("u0", "u1"), ("u1", "u2"), ("u2", "u3"), ("u3", "u4")]
 
     def one(period):
@@ -132,8 +135,8 @@ def schedule_pair(draw):
         chosen = draw(st.permutations(links))[:n]
         entries = []
         for key in chosen:
-            s = draw(st.integers(0, period - 1))
-            e = draw(st.integers(s + 1, period))
+            s = draw(st.integers(0, 3 * period - 1 if late else period - 1))
+            e = draw(st.integers(s + 1, s + period if late else period))
             entries.append((key, s, e))
         return OccupancySchedule(tuple(entries), max(e for _, _, e in entries))
 
@@ -145,6 +148,13 @@ def schedule_pair(draw):
 @settings(max_examples=300, deadline=None)
 @given(schedule_pair())
 def test_frames_conflict_matches_brute_force(case):
+    a, pa, b, pb = case
+    assert frames_conflict(a, pa, b, pb) == brute_force_conflict(a, pa, b, pb)
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedule_pair(late=True))
+def test_frames_conflict_matches_brute_force_past_the_period(case):
     a, pa, b, pb = case
     assert frames_conflict(a, pa, b, pb) == brute_force_conflict(a, pa, b, pb)
 
