@@ -2,10 +2,11 @@
 """Dynamic update walk-through.
 
 Starts from an admitted set of streams on a grid network, then applies a
-series of update batches (streams joining and leaving). After every batch
-the planner compares a defensive plan (old streams keep their schedule)
-against an offensive re-plan (old streams may be reconfigured) and keeps
-the one rejecting fewer newcomers. The demo exits with status 1 if the
+series of update batches (streams joining and leaving). For every batch
+the planner makes a defensive plan (old streams keep their schedule). When
+that plan rejects a newcomer, it also makes an offensive re-plan (old
+streams may be reconfigured) and keeps the one rejecting fewer newcomers,
+ties going to the defensive plan. The demo exits with status 1 if the
 oracle `validate_plan` finds a problem in any batch's plan.
 
 Run:  python demos/dynamic_updates.py

@@ -5,7 +5,8 @@ remaining feasible vertices first, then picks that color's feasible vertex
 with the lowest degree among feasible vertices. Previously admitted streams
 are either pinned to their current configuration (defensive planning) or
 required but free to be reconfigured (offensive planning); the plan with
-fewer rejected new streams wins, ties going to the defensive plan.
+fewer rejected new streams wins, ties going to the defensive plan, so the
+offensive solve runs only when survivors exist and a new stream was rejected.
 
 A solve's numpy work scales with its colors, not with their vertices: all
 pinned vertices are selected in one pass, and each later color step is a
@@ -205,7 +206,11 @@ def offensive_plan(
     new_ids: list[str],
 ) -> tuple[dict[str, int], set[str]] | None:
     """Full re-solve with old streams required but reconfigurable; None when
-    some required stream cannot be satisfied."""
+    some required stream cannot be satisfied, and at once with no survivors
+    (given none when the defensive plan rejected nothing): the solve would
+    repeat the defensive one, or could not reject fewer than zero streams."""
+    if not survivors:
+        return None
     try:
         return gfh_solve(g, required=list(survivors), optional=new_ids, pinned=None)
     except RequiredColorUnsatisfiable:
@@ -338,7 +343,7 @@ class Planner:
 
         t_solve = time.perf_counter()
         defensive = defensive_plan(g, survivors, list(new_streams))
-        offensive = offensive_plan(g, survivors, list(new_streams))
+        offensive = offensive_plan(g, survivors if defensive[1] else {}, list(new_streams))
         selection, rejected = choose_plan(defensive, offensive)
         # a survivor the plan keeps on its pinned vertex keeps its configuration
         pinned = defensive[0]
