@@ -6,9 +6,10 @@ on a shared directed link. Same-color conflicts are never materialized: the
 colorful-set rule already forbids picking two vertices of one color.
 
 Insertion only queues a vertex. `join_queued` joins every queued vertex
-against the stored intervals, and against the other queued vertices, in one
-chunked numpy pass. `expand` calls it; otherwise the first read of the edges
-does. A removal leaves the queued vertices queued.
+against the stored intervals, and against the other queued vertices, in
+passes of whole queued rows, at most `JOIN_BUDGET` (row, class) pairs each.
+`expand` calls it; otherwise the first read of the edges does. A removal
+leaves the queued vertices queued.
 
 The occupancy intervals are stored as flat columns sorted by (link, period,
 start); the rows of one link and period form a class. A row is its key, its
@@ -35,7 +36,9 @@ class of queued rows only, a row looks at the rows after it in its own
 class and at the classes of shorter periods. The longer period's side needs
 one or two windows per class where the shorter side would need up to
 pb / pa, and an offline batch, where every row is queued, finds each pair
-once per shared link. The edges are sorted and deduplicated once per join.
+once per shared link. A pass's temporaries grow with its (row, class)
+pairs, at most the classes on each row's link. The edges are sorted and
+deduplicated once per join, wherever the passes are cut.
 
 A vertex is a row of integer columns: color code, route index and phase.
 Insertion appends the row to one flat int64 buffer; the columns take all
@@ -67,12 +70,10 @@ from .timing import OccupancySchedule, link_occupancy, overlap_modulo  # noqa: F
 PAGERANK_DAMPING = 0.85
 PAGERANK_ITERATIONS = 4
 
-#: queued intervals per join chunk, windows per query interval and class, and
-#: candidate rows per `overlap_modulo` call; together they bound the join's
-#: temporary arrays
-JOIN_CHUNK = 512
+#: windows per query interval and class before one spanning window; the budget
+#: of a join pass in (row, class) pairs and of an `overlap_modulo` call in rows
 MAX_WINDOWS = 64
-CANDIDATE_CHUNK = 1 << 16
+JOIN_BUDGET = 1 << 12
 
 #: columns of the interval store, one row per (vertex, link): the sort key,
 #: which holds the link, the period and the start, the end, and the vid
@@ -109,20 +110,22 @@ class Configuration(NamedTuple):
         return (self.stream.id, self.route_index, self.phase)
 
 
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Owner and rank of each item when owner i has counts[i] items: for
-    counts [2, 0, 3], owners [0, 0, 2, 2, 2] and ranks [0, 1, 0, 1, 2]."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    rank = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
-    return owner, rank
-
-
-def _rows(indptr: np.ndarray, vids: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """Positions in the CSR's `indices` of the rows of `vids`, concatenated;
-    `deg` holds the rows' lengths."""
-    pos = np.repeat(indptr[vids] - (np.cumsum(deg) - deg), deg)
+def _rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs of counts[i] positions from starts[i] on, concatenated: for
+    starts indptr[vids] and counts the degrees, the CSR rows of `vids`."""
+    pos = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     pos += np.arange(len(pos))
     return pos
+
+
+def _runs(starts: np.ndarray) -> list[tuple[int, int]]:
+    """(first, end) of runs of whole items, item i's units starting at the
+    ascending starts[i]: an item starting in the next block of `JOIN_BUDGET`
+    units starts a run, so none is empty or over budget by more than its last."""
+    block = starts // JOIN_BUDGET
+    cut = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
+    bounds = [0, *cut, len(starts)] if len(starts) else []
+    return list(zip(bounds, bounds[1:]))
 
 
 def _store_keys(link: np.ndarray, period: np.ndarray, start: np.ndarray,
@@ -140,93 +143,88 @@ def _key_class(key: np.ndarray, periods: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 class _Classes:
-    """The (link, period) classes of a sorted store: per class its period,
-    first row, row count, longest interval, first start, last end and whether
-    it holds only queued rows. The store key increases through the whole
-    store, so one `searchsorted` finds a window of starts inside any class."""
+    """The (link, period) classes of a sorted store: per class its first
+    row, period, key of start 0, whether it holds only queued rows, the
+    classes on its link, and its `stats`: the last tick a row holds, the
+    first start, the longest interval and the windows a query may search
+    before one spanning window. One `searchsorted` in the store key, which
+    increases through the store, finds a window inside any class."""
 
     def __init__(self, store: dict[str, np.ndarray], queued: np.ndarray, periods: np.ndarray):
         key = self.key = store["key"]
         cls = key >> 32
         cut = np.flatnonzero(cls[1:] != cls[:-1]) + 1
         first = self.first = np.concatenate([[0], cut])
-        last = np.concatenate([cut, [len(key)]])
-        link, self.period = _key_class(key[first], periods)
-        self.size = last - first
-        self.longest = np.maximum.reduceat(store["end"] - (key & _LOW), first)
-        self.smin = key[first] & _LOW
-        # the last tick a row of the class holds, and the windows a query may
-        # search in it before it scans one spanning window
-        self.reach = np.maximum.reduceat(store["end"], first) - 1
-        self.max_windows = np.minimum(self.size, MAX_WINDOWS)
-        self.queued = np.logical_and.reduceat(queued, first)
-        # the key of start s in class c is base[c] + s
         self.base = cls[first] << 32
-        # the classes on the link of class c are [link_first[c], link_end[c])
-        cut = np.flatnonzero(link[1:] != link[:-1]) + 1
-        lo, hi = np.concatenate([[0], cut]), np.concatenate([cut, [len(link)]])
-        self.link_first, self.link_end = np.repeat(lo, hi - lo), np.repeat(hi, hi - lo)
+        link, rank = np.divmod(cls[first], len(periods))
+        self.stats = np.array([
+            np.maximum.reduceat(store["end"], first) - 1, key[first] & _LOW,
+            np.maximum.reduceat(store["end"] - (key & _LOW), first),
+            np.minimum(np.concatenate([cut, [len(key)]]) - first, MAX_WINDOWS),
+        ])
+        self.period = periods[rank]
+        self.only_queued = np.logical_and.reduceat(queued, first)
+        # the classes on the link of class c are link_first[c] on, size[c] of them
+        self.link_first = np.searchsorted(link, link)
+        self.size = np.searchsorted(link, link, side="right") - self.link_first
 
-    def conflicts(self, pos: np.ndarray, store: dict[str, np.ndarray],
+    def conflicts(self, pos: np.ndarray, own: np.ndarray, store: dict[str, np.ndarray],
                   color: np.ndarray) -> np.ndarray:
-        """Edges of the queued rows at the ascending store positions `pos`
-        to rows of other colors, as codes (later vid << 32 | earlier vid);
-        `color` is the vertices' color column. A queued row meets every
-        stored row of a class that holds joined rows. In a class of queued
-        rows only, it meets the rows after it in its own class and every row
-        of a shorter period, so a pair of queued rows is met once per shared
-        link, or twice where a joined row shares its class."""
-        q = {name: store[name][pos] for name in _COLUMNS}
-        own = np.searchsorted(self.first, pos, side="right") - 1
-        # one pair per query row and class on its link
-        first = self.link_first[own]
-        qi, k = _ragged(self.link_end[own] - first)
-        c = first[qi] + k
-        # a queued-only class of a longer period meets this row from its side
-        met = ~self.queued[c] | (c <= own[qi])
-        qi, c = qi[met], c[met]
-        sa, ea = q["key"][qi] & _LOW, q["end"][qi]
-        g, longest = np.gcd(self.period[own[qi]], self.period[c]), self.longest[c]
-        # the multiples m of g that some row of the class can satisfy
-        lo = sa - self.reach[c]
-        hi = ea - self.smin[c] - 1
-        m_first = -(-lo // g) * g
-        m_last = hi // g * g
-        n_win = np.maximum((m_last - m_first) // g + 1, 0)
+        """Edges of the queued rows at the ascending store positions `pos`,
+        of the classes `own`, to rows of other colors, as codes (later vid
+        << 32 | earlier vid); `color` is the vertices' color column. A pair
+        of queued rows is met once per shared link, or twice where a joined
+        row shares its class. Temporaries are dropped once used."""
+        n = self.size[own]  # one pair per query row and class on its link
+        c, row = _rows(self.link_first[own], n), np.repeat(np.arange(len(pos)), n)
+        # a queued row meets every class that holds joined rows; a queued-only
+        # class of a longer period meets it from its own side
+        oq = own[row]
+        met = (c <= oq) | ~self.only_queued[c]
+        c, oq, row = c[met], oq[met], row[met]
+        g = np.gcd(self.period[oq], self.period[c])
+        # in its own queued-only class a row looks only at the rows after it
+        after = ((c == oq) & self.only_queued[c]) * (pos + 1)[row]
+        q = np.array([store["key"][pos] & _LOW, store["end"][pos], store["vid"][pos]])
+        sa, ea, qvid = q.take(row, axis=1)
+        reach, smin, longest, max_windows = self.stats.take(c, axis=1)
+        del oq, met, row, q
+        # the multiples f * g to l * g of g that some row of the class can satisfy
+        f, last = -((reach - sa) // g), (ea - smin - 1) // g
+        n_win = np.maximum(last - f + 1, 0)
         # one spanning window when the windows touch or outnumber the rows
-        spanning = (g <= ea - sa + longest - 1) | (n_win > self.max_windows[c])
+        spanning = (g <= ea - sa + longest - 1) | (n_win > max_windows)
         np.minimum(n_win, 1, out=n_win, where=spanning)
         # the window of multiple m holds the starts in [sa - m - longest + 1,
-        # ea - m), a spanning one those from m_last's first to m_first's
-        # last; the k-th window of a pair lies k * g below the first
-        lowest = sa - longest + 1 - np.where(spanning, m_last, m_first)
-        highest = ea - m_first
-        w, k = _ragged(n_win)
-        kg = k * g[w]
-        cw = c[w]
-        base = self.base[cw]
-        # clipped to the class's block of keys
-        row_lo = np.searchsorted(self.key, base + np.clip(lowest[w] - kg, 0, _LOW + 1))
-        row_hi = np.searchsorted(self.key, base + np.clip(highest[w] - kg, 0, _LOW + 1))
-        owner = qi[w]
-        # in its own queued-only class a row looks only at the rows after it
-        after = self.queued[cw] & (cw == own[owner])
-        row_lo[after] = np.maximum(row_lo[after], pos[owner[after]] + 1)
-        n_cand = np.maximum(row_hi - row_lo, 0)
-
+        # ea - m), a spanning one those from l * g's first to f * g's last
+        edges = np.array([sa - longest + 1 - np.where(spanning, last - f, 0) * g, ea])
+        del reach, smin, longest, max_windows, last, spanning
+        w = np.repeat(np.arange(len(n_win)), n_win)  # the windows' pairs
+        m = _rows(f, n_win)
+        m *= g[w]
+        edges = edges.take(w, axis=1)
+        edges -= m
+        np.maximum(edges, 0, out=edges)  # clipped to the class's block of keys
+        np.minimum(edges, _LOW + 1, out=edges)
+        edges += self.base[c[w]]
+        row_lo, n_cand = bounds = np.searchsorted(self.key, edges)
+        np.maximum(bounds, after[w], out=bounds)
+        n_cand -= row_lo
+        del n_win, f, m, edges, c, after
+        # candidate x of the pass, in window i, is row x + row_lo[i] - first[i]
+        first = np.cumsum(n_cand) - n_cand
+        row_lo -= first
         codes = [np.empty(0, dtype=np.int64)]
-        total = np.cumsum(n_cand)
-        stops = np.arange(CANDIDATE_CHUNK, total[-1] if len(total) else 0, CANDIDATE_CHUNK)
-        cuts = np.searchsorted(total, stops)
-        for a, b in zip([0, *cuts], [*cuts, len(n_cand)]):
-            n = n_cand[a:b]
-            p = np.repeat(w[a:b], n)  # the candidates' (query row, class) pairs
-            j = np.repeat(row_lo[a:b] - (np.cumsum(n) - n), n) + np.arange(len(p))
+        for a, b in _runs(first):
+            count = n_cand[a:b]
+            p = np.repeat(w[a:b], count)  # the candidates' pairs
+            j = np.repeat(row_lo[a:b], count)
+            j += np.arange(first[a], first[a] + len(j))
             hit = overlap_modulo(sa[p], ea[p], store["key"][j] & _LOW, store["end"][j], g[p])
-            vid, qvid = store["vid"][j[hit]], q["vid"][qi[p[hit]]]
-            keep = color[vid] != color[qvid]  # no edges within a color
-            vid, qvid = vid[keep], qvid[keep]
-            codes.append(np.maximum(vid, qvid) << 32 | np.minimum(vid, qvid))
+            vid, qv = store["vid"][j[hit]], qvid[p[hit]]
+            keep = color[vid] != color[qv]  # no edges within a color
+            vid, qv = vid[keep], qv[keep]
+            codes.append(np.maximum(vid, qv) << 32 | np.minimum(vid, qv))
         return np.concatenate(codes)
 
 
@@ -342,7 +340,7 @@ class ConflictGraph:
     def join_queued(self) -> None:
         """Add the edges of every queued vertex to the CSR. The queued rows
         are sorted on their own and merged into the sorted store, so they
-        meet each other too; the pass runs in chunks of queued rows."""
+        meet each other too; each pass takes whole queued rows."""
         first = len(self._indptr) - 1
         if first == self._n:
             return
@@ -374,12 +372,14 @@ class ConflictGraph:
         self._store = store
         classes = _Classes(store, queued, periods)
         del queued
-        color = self._column("color")
-        codes = np.concatenate([
-            classes.conflicts(pos[a : a + JOIN_CHUNK], store, color)
-            for a in range(0, len(pos), JOIN_CHUNK)
-        ])
-        del classes, pos
+        own = np.searchsorted(classes.first, pos, side="right") - 1
+        # a row meets at most the classes on its link, so `step` rows make at
+        # most JOIN_BUDGET pairs; a row with more makes a pass of its own
+        step, color = max(JOIN_BUDGET // int(classes.size.max()), 1), self._column("color")
+        codes = [classes.conflicts(pos[a : a + step], own[a : a + step], store, color)
+                 for a in range(0, len(pos), step)]
+        del classes, pos, own  # before the codes are joined
+        codes = np.concatenate(codes)
         # a pair is met once per shared link, or from both sides where a joined
         # row shares its class: drop repeats (np.unique hashes, and is slower)
         codes.sort()
@@ -427,9 +427,9 @@ class ConflictGraph:
         link = np.array([links.setdefault(k, len(links)) for k in link_keys], dtype=np.int64)
         start, end = np.array(start, dtype=np.int64), np.array(end, dtype=np.int64)
         hops = np.array(hops, dtype=np.int64)
-        vert, hop = _ragged(hops[which])
+        vert = np.repeat(np.arange(len(which)), hops[which])
         pair = which[vert]
-        entry = (np.cumsum(hops) - hops)[pair] + hop
+        entry = _rows((np.cumsum(hops) - hops)[which], hops[which])
         return {
             "link": link[entry], "period": np.array(periods, dtype=np.int64)[pair],
             "start": start[entry] + phase[vert], "end": end[entry] + phase[vert],
@@ -445,7 +445,7 @@ class ConflictGraph:
         kept, deg = keep[: len(indptr) - 1], np.diff(indptr)
         # an arc stays when its column and its row stay; the arcs of the
         # removed rows are the twins of the arcs the kept rows lose
-        lost = _rows(indptr, np.flatnonzero(~kept), deg[~kept])
+        lost = _rows(indptr[:-1][~kept], deg[~kept])
         arcs = keep[indices]
         arcs[lost] = False
         deg -= np.bincount(indices[lost], minlength=len(deg))

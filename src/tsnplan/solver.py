@@ -120,7 +120,7 @@ def gfh_solve(
         np.minimum.at(first, pin_c, at)
         blocker = first[slot]  # a pinned color's vertices
         deg = indptr[pin_v + 1] - indptr[pin_v]
-        np.minimum.at(blocker, indices[_rows(indptr, pin_v, deg)], np.repeat(at, deg))
+        np.minimum.at(blocker, indices[_rows(indptr[pin_v], deg)], np.repeat(at, deg))
         late = np.flatnonzero(blocker[pin_v] < at)
         if len(late):
             raise RequiredColorUnsatisfiable(pin_colors[late[0]])
@@ -140,7 +140,7 @@ def gfh_solve(
     seg_counts = np.where(is_open, counts, 0)[:n_colors]
     bounds = np.concatenate([[0], np.cumsum(seg_counts)])
     deg = indptr[cand + 1] - indptr[cand]
-    nbr = indices[_rows(indptr, cand, deg)].astype(np.int32)
+    nbr = indices[_rows(indptr[cand], deg)].astype(np.int32)
     # each gathered neighbour's owner, by its place in its color's segment
     place = np.arange(len(cand), dtype=np.int32) - np.repeat(
         bounds[:-1].astype(np.int32), seg_counts

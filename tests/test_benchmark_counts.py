@@ -5,14 +5,18 @@ and emit the same plan as recorded here: the counts that
 `perfbench/run.py --trace 1` prints, plan SHA-256 included. The episode
 comes from `perfbench/episode.py` itself, imported without changes, so
 these are the benchmark's own numbers. A change that moves a count says
-which and why in `CHANGES.md`, and updates the value here.
+which and why in `CHANGES.md`, and updates the value here. The join's
+memory per pass is pinned on the same episodes.
 """
 
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+
+from tsnplan import conflict_graph
 
 EPISODE = Path(__file__).resolve().parents[1] / "perfbench" / "episode.py"
 
@@ -32,6 +36,12 @@ COUNTS = {
     ("dynamic-grid3x3", 11): (101, 360, 0, 1200, 3349, 7014,
         "d04f4cfc685c013fcf5bd186ea400452241ececb4cfa9a5f6fc9a7450b1be27a"),
 }
+
+#: the most that one join pass (`_Classes.conflicts`) may allocate at its
+#: peak on dynamic-grid3x3 at seed 0, in bytes: 0.82 MiB, what the passes
+#: of at most 512 queued rows took. The first batch joins 3,925 rows, so a
+#: pass sized by rows alone would take far more.
+PASS_PEAK_BYTES = int(0.82 * 2**20)
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +65,23 @@ def test_benchmark_counts_are_unchanged(episode, workload, seed):
     assert ep["invalid_plans"] == 0, ep["problems"]
     keys = ("batches", "offered", "rejected", "vertices", "edges", "slots", "plan_sha256")
     assert ep["counts"] == dict(zip(keys, COUNTS[workload, seed]))
+
+
+def test_join_passes_stay_within_their_memory(episode, monkeypatch):
+    """No pass of the dynamic-grid3x3 episode's joins allocates more than
+    `PASS_PEAK_BYTES` at its peak, as tracemalloc counts it from the
+    pass's start: a larger pass raises the process's peak RSS."""
+    conflicts, peaks = conflict_graph._Classes.conflicts, []
+
+    def measured(*args):
+        tracemalloc.start()
+        try:
+            return conflicts(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(conflict_graph._Classes, "conflicts", measured)
+    _, _, net, batches, planner = episode.setup("dynamic-grid3x3", 0, "full")
+    episode.run_episode(planner, net, batches)
+    assert len(peaks) > len(batches) and max(peaks) <= PASS_PEAK_BYTES

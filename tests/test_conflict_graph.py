@@ -121,7 +121,8 @@ def test_window_search_in_the_highest_class():
     store = {"key": cls << 32 | start, "end": start + 10, "vid": np.arange(2)}
     classes = conflict_graph._Classes(store, np.ones(2, dtype=bool), np.array([1 << 33]))
     color = np.arange(2, dtype=np.int32)
-    assert classes.conflicts(np.arange(2), store, color).tolist() == [1 << 32 | 0]
+    own = np.zeros(2, dtype=np.int64)  # both rows are in the one class
+    assert classes.conflicts(np.arange(2), own, store, color).tolist() == [1 << 32 | 0]
 
 
 def test_same_phase_shared_link_edge(shared_net):
@@ -488,33 +489,57 @@ def test_join_matches_linear_scan_oracle(topology, periods, seed):
     assert_stream_sums_match_scans(g)
 
 
-@pytest.mark.parametrize("join_chunk", [None, 7], ids=["default-chunk", "chunk-7"])
+@pytest.mark.parametrize(
+    "budget", [None, 1, 1 << 40], ids=["default-chunk", "budget-1", "one-pass"]
+)
 @pytest.mark.parametrize(
     "periods, strategy",
     [(HARMONIC, "page-rank"), (NON_HARMONIC, "avg-degree")],
     ids=["harmonic", "non-harmonic"],
 )
-def test_join_matches_linear_scan_oracle_on_updates(monkeypatch, periods, strategy, join_chunk):
+def test_join_matches_linear_scan_oracle_on_updates(monkeypatch, periods, strategy, budget):
     """Through a dynamic scenario on a 3x3 grid, with deletions and
     rejections, every join leaves the CSR the oracle builds and a store
     sorted by (link, period, start). Updates merge queued rows into a
     non-empty store, and the two-step strategy joins twice per batch, so
     the second join meets queued vertices of streams that already have
-    joined ones. With 7 rows per chunk one join spans many chunks, and the
-    pairs a row finds from one side only cross the chunk borders."""
-    if join_chunk:
-        monkeypatch.setattr(conflict_graph, "JOIN_CHUNK", join_chunk)
-    join = ConflictGraph.join_queued
+    joined ones. A budget of 1 gives each queued row a pass of its own,
+    though its pairs exceed the budget, and each window's candidates their
+    own `overlap_modulo` call: the pairs a row finds from one side only
+    cross the pass borders. A budget above any join's pairs runs each join
+    as one pass. Either way the passes hold every queued row once, in
+    order, and no more pairs than the budget unless they hold one row."""
+    if budget:
+        monkeypatch.setattr(conflict_graph, "JOIN_BUDGET", budget)
+    join, conflicts = ConflictGraph.join_queued, conflict_graph._Classes.conflicts
     checking = []  # csr() joins again, with nothing left to join
+    passes = []  # per pass of the current join: its rows' store positions and pairs
+    big_rows = []  # the pairs of rows whose pairs exceed a budget of 1
+
+    def recorded_conflicts(classes, pos, own, *args):
+        passes.append((pos.tolist(), classes.size[own].tolist()))
+        return conflicts(classes, pos, own, *args)
 
     def checked_join(g):
+        first = len(g._indptr) - 1
+        passes.clear()
         join(g)
         if checking:
             return
+        queued = np.flatnonzero(g._store["vid"] >= first).tolist()
+        assert [p for pos, _ in passes for p in pos] == queued
+        budget_now = conflict_graph.JOIN_BUDGET
+        assert all(pos and (len(pos) == 1 or sum(pairs) <= budget_now) for pos, pairs in passes)
+        if budget == 1:
+            assert all(len(pos) == 1 for pos, _ in passes)
+            big_rows.extend(pairs[0] for _, pairs in passes if pairs[0] > 1)
+        elif budget and queued:
+            assert len(passes) == 1
         checking.append(g)
         assert_joined_as_oracle(g)
         checking.pop()
 
+    monkeypatch.setattr(conflict_graph._Classes, "conflicts", recorded_conflicts)
     monkeypatch.setattr(ConflictGraph, "join_queued", checked_join)
     scenario = ExperimentConfig(
         topology={"kind": "grid", "rows": 3, "cols": 3}, periods=periods,
@@ -523,6 +548,7 @@ def test_join_matches_linear_scan_oracle_on_updates(monkeypatch, periods, strate
     )
     metrics, planner = run_experiment(scenario)
     assert sum(m.rejected for m in metrics[1:]) > 0
+    assert budget != 1 or big_rows
     assert_joined_as_oracle(planner.graph)
 
 
