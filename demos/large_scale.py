@@ -15,9 +15,17 @@ per-update latency is then printed as well:
 
 Every batch's plan is checked with the oracle `validate_plan`, timed apart
 from the phases; the demo exits with status 1 if any plan has a problem.
+
+With `--json` the last line printed is one JSON object: the offline
+batch's `rejected`, `vertices`, `edges`, `routing_s`, `expansion_s` and
+`solving_s`; `validate_s` over all plans, `wall_s` and `peak_rss_mib`; and
+with updates the p50 and p90 of their `total_ms` and `solving_ms`:
+
+    python demos/large_scale.py --bridges 64 --streams 2000 --iterations 10 --json
 """
 
 import argparse
+import json
 import resource
 import statistics
 import sys
@@ -39,6 +47,8 @@ def main():
                     help="update batches after the offline batch")
     ap.add_argument("--add", type=int, default=20, help="new streams per update")
     ap.add_argument("--delete", type=int, default=20, help="deleted streams per update")
+    ap.add_argument("--json", action="store_true",
+                    help="end with one line of the timings as a JSON object")
     args = ap.parse_args()
 
     cfg = ExperimentConfig(
@@ -71,27 +81,37 @@ def main():
     print(f"  routing     {m.routing_ms / 1000:.1f} s")
     print(f"  expansion   {m.expansion_ms / 1000:.1f} s")
     print(f"  solving     {m.solving_ms / 1000:.1f} s")
+    result = {"rejected": m.rejected, "vertices": m.vertices, "edges": m.edges}
+    for phase in ("routing", "expansion", "solving"):
+        result[f"{phase}_s"] = getattr(m, f"{phase}_ms") / 1000
     updates = metrics[1:]
     if updates:
         last = updates[-1]
-        total = sorted(u.total_ms for u in updates)
-        # nearest-rank 90th percentile
-        p90 = total[max(0, -(-9 * len(total) // 10) - 1)]
+        for name in ("total", "solving"):
+            ms = sorted(getattr(u, f"{name}_ms") for u in updates)
+            result[f"{name}_ms_p50"] = statistics.median(ms)
+            # nearest-rank 90th percentile
+            result[f"{name}_ms_p90"] = ms[max(0, -(-9 * len(ms) // 10) - 1)]
         print(f"{len(updates)} updates of +{args.add}/-{args.delete}:")
         print(f"  rejected    {sum(u.rejected for u in updates)}")
         print(f"  graph       {last.vertices} vertices / {last.edges} edges after the last")
-        print(f"  total       p50 {statistics.median(total):.0f} ms, p90 {p90:.0f} ms")
+        print(f"  total       p50 {result['total_ms_p50']:.0f} ms, "
+              f"p90 {result['total_ms_p90']:.0f} ms")
         for phase in ("routing", "expansion", "solving"):
             p50 = statistics.median(getattr(u, f"{phase}_ms") for u in updates)
             print(f"  {phase:<11} p50 {p50:.0f} ms")
+    result["validate_s"] = sum(validate_ms) / 1000
     print(f"  validate    {len(validate_ms)} plans, {len(problems)} problems, "
-          f"total {sum(validate_ms) / 1000:.1f} s, max {max(validate_ms):.0f} ms")
-    print(f"  wall clock  {time.perf_counter() - t0:.1f} s")
+          f"total {result['validate_s']:.1f} s, max {max(validate_ms):.0f} ms")
+    result["wall_s"] = time.perf_counter() - t0
+    print(f"  wall clock  {result['wall_s']:.1f} s")
     # ru_maxrss is in KiB on Linux
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"  peak RSS    {peak:.0f} MiB")
+    result["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"  peak RSS    {result['peak_rss_mib']:.0f} MiB")
     for p in problems[:10]:
         print(f"  problem     {p}")
+    if args.json:
+        print(json.dumps({k: round(v, 4) for k, v in result.items()}))
     if problems:
         sys.exit(1)
 

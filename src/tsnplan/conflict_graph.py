@@ -113,7 +113,7 @@ class Configuration(NamedTuple):
 def _rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The runs of counts[i] positions from starts[i] on, concatenated: for
     starts indptr[vids] and counts the degrees, the CSR rows of `vids`."""
-    pos = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    pos = (starts - counts.cumsum() + counts).repeat(counts)
     pos += np.arange(len(pos))
     return pos
 

@@ -9,8 +9,10 @@ fewer rejected new streams wins, ties going to the defensive plan, so the
 offensive solve runs only when survivors exist and a new stream was rejected.
 
 A solve's numpy work scales with its colors, not with their vertices: all
-pinned vertices are selected in one pass, and each later color step is a
-bincount over the color's slice of a candidate order built once per solve.
+pinned vertices are selected in one pass, and each later color step gathers
+the neighbour rows of the color's still-free vertices, in a candidate order
+built once per solve, and counts them with one bincount. So a solve's extra
+memory scales with one color's arcs, not with the graph's.
 """
 
 from __future__ import annotations
@@ -79,11 +81,11 @@ def gfh_solve(
     first. Each color's key (feasible, total, rank by stream id) lives in
     one integer array that every exclusion updates in place. The candidate
     order is built once per solve, after pinning: each open color's
-    vertices sorted by (phase, route index, vid), with their neighbour rows
-    gathered in that order. A step counts the free neighbours of the whole
-    color with one bincount and takes the first free vertex of least count,
-    i.e. the least (feasible degree, phase, route index), ties to the
-    lowest vid.
+    vertices sorted by (phase, route index, vid). A step gathers the
+    neighbour rows of the color's still-free vertices in that order, counts
+    their free neighbours with one bincount and takes the first vertex of
+    least count, i.e. the least (feasible degree, phase, route index), ties
+    to the lowest vid.
     """
     pinned = pinned or []
     colors = list(dict.fromkeys(required + optional))
@@ -137,17 +139,10 @@ def gfh_solve(
     within = phase[cand] * (int(route.max(initial=0)) + 1) + route[cand]
     order_key = slot[cand] * (int(within.max(initial=0)) + 1) + within
     cand = cand[np.argsort(order_key, kind="stable")]
-    seg_counts = np.where(is_open, counts, 0)[:n_colors]
-    bounds = np.concatenate([[0], np.cumsum(seg_counts)])
-    deg = indptr[cand + 1] - indptr[cand]
-    nbr = indices[_rows(indptr[cand], deg)].astype(np.int32)
-    # each gathered neighbour's owner, by its place in its color's segment
-    place = np.arange(len(cand), dtype=np.int32) - np.repeat(
-        bounds[:-1].astype(np.int32), seg_counts
-    )
-    owner = np.repeat(place, deg)
-    nbounds = np.concatenate([[0], np.cumsum(deg)])[bounds].tolist()
-    bounds = bounds.tolist()
+    # each candidate's row start and degree, in candidate order
+    starts = indptr[cand]
+    deg = indptr[cand + 1] - starts
+    bounds = [0, *np.cumsum(np.where(is_open, counts, 0)[:n_colors]).tolist()]
 
     for _ in range(n_colors - len(selected)):
         ci = int(color_key.argmin())
@@ -157,11 +152,13 @@ def gfh_solve(
             rejected.add(colors[ci])
             color_key[ci] = _RESOLVED
             continue
-        seg = cand[bounds[ci] : bounds[ci + 1]]
-        a, b = nbounds[ci], nbounds[ci + 1]
-        feasdeg = np.bincount(owner[a:b], weights=free[nbr[a:b]], minlength=len(seg))
-        feasdeg[~free[seg]] = n  # only free vertices are candidates
-        vid = int(seg[feasdeg.argmin()])
+        a, b = bounds[ci], bounds[ci + 1]
+        seg = cand[a:b]
+        live = free[seg].nonzero()[0]  # only free vertices are candidates
+        d = deg[a:b][live]
+        nb = indices[_rows(starts[a:b][live], d)]
+        feasdeg = np.bincount(np.arange(len(d)).repeat(d), free[nb], len(d))
+        vid = int(seg[live[feasdeg.argmin()]])
         selected[colors[ci]] = vid
         color_key[ci] = _RESOLVED
         # one exclusion pass: the color's vertices, then the neighbours still

@@ -6,7 +6,8 @@ and emit the same plan as recorded here: the counts that
 comes from `perfbench/episode.py` itself, imported without changes, so
 these are the benchmark's own numbers. A change that moves a count says
 which and why in `CHANGES.md`, and updates the value here. The join's
-memory per pass is pinned on the same episodes.
+memory per pass and the solver's memory per solve are pinned on the same
+episodes.
 """
 
 import importlib.util
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from tsnplan import conflict_graph
+from tsnplan import conflict_graph, solver
 
 EPISODE = Path(__file__).resolve().parents[1] / "perfbench" / "episode.py"
 
@@ -42,6 +43,12 @@ COUNTS = {
 #: of at most 512 queued rows took. The first batch joins 3,925 rows, so a
 #: pass sized by rows alone would take far more.
 PASS_PEAK_BYTES = int(0.82 * 2**20)
+
+#: the most that the offline-waxman64 seed-0 solve (`gfh_solve`) may
+#: allocate at its peak, in bytes: 1.5 MiB. It reads about 1.1 MiB with
+#: each color's neighbour rows gathered at its own step; gathering every
+#: color's rows before the first step took 5.18 MiB.
+SOLVE_PEAK_BYTES = int(1.5 * 2**20)
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +92,24 @@ def test_join_passes_stay_within_their_memory(episode, monkeypatch):
     _, _, net, batches, planner = episode.setup("dynamic-grid3x3", 0, "full")
     episode.run_episode(planner, net, batches)
     assert len(peaks) > len(batches) and max(peaks) <= PASS_PEAK_BYTES
+
+
+def test_solves_stay_within_their_memory(episode, monkeypatch):
+    """The offline-waxman64 seed-0 episode's one solve allocates at most
+    `SOLVE_PEAK_BYTES` at its peak, as tracemalloc counts it from the
+    solve's start: its extra memory scales with one color's arcs, not with
+    the graph's 275,722."""
+    gfh_solve, peaks = solver.gfh_solve, []
+
+    def measured(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return gfh_solve(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(solver, "gfh_solve", measured)
+    _, _, net, batches, planner = episode.setup("offline-waxman64", 0, "full")
+    episode.run_episode(planner, net, batches)
+    assert len(peaks) == 1 and peaks[0] <= SOLVE_PEAK_BYTES

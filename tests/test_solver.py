@@ -154,6 +154,22 @@ def test_a_resolved_colors_other_vertices_stop_counting_as_free():
     assert gfh_solve(fake, [], ["a", "b"]) == ({"a": 0, "b": 2}, set())
 
 
+def test_a_step_passes_over_excluded_vertices_and_counts_arcless_ones():
+    # pin p on 0 excludes a's vertices 1, 3 and 5, whose only arc goes to
+    # the pin, and b (one vertex) goes next and takes 9, which excludes a's
+    # 2 and 4: each of these would win at phase 0 if it still counted. Of
+    # a's free vertices, 6 neighbours the unlisted, free vertex 10, and 7
+    # and 8 have no arc and tie on phase 1, so the lower vid wins
+    color_of = {0: "p", **{v: "a" for v in range(1, 9)}, 9: "b", 10: "z"}
+    phase = [0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0]
+    edges = [(0, 1), (0, 3), (0, 5), (2, 9), (4, 9), (6, 10)]
+    fake = FakeGraph(11, edges, color_of, phase=phase)
+    args = ["p"], ["a", "b"]
+    expected = ({"p": 0, "b": 9, "a": 7}, set())
+    assert gfh_solve(fake, *args, pinned=[("p", 0)]) == expected
+    assert oracle_gfh_solve(fake, *args, pinned=[("p", 0)]) == expected
+
+
 def test_solver_oracle_random_instances():
     rng = Random(42)
     optimal = 0
@@ -183,19 +199,25 @@ PALETTE = ["a", "b", "c", "d", "e"]
 
 @st.composite
 def solver_cases(draw):
-    """A random FakeGraph of drawn edge density, with few distinct (phase,
+    """A random FakeGraph of drawn mean degree, with few distinct (phase,
     route) pairs so that vertex ties are common, and a solve over part of
     its colors: vertices of the other colors stay uncolored, and a listed
-    color may have no vertex. Pins name vertices of their own color, in any
+    color may have no vertex. The vertices share the first one to five
+    colors, so that a color may hold up to about 40 vertices and a color's
+    step meets free and excluded vertices mixed; at the lowest mean degrees
+    many vertices have no arc. Pins name vertices of their own color, in any
     order, possibly clashing (adjacent to an earlier pin, or a color pinned
     twice)."""
     rng = draw(st.randoms(use_true_random=False))
-    n = draw(st.integers(0, 12))
-    density = draw(st.sampled_from([0.15, 0.35, 0.6]))
-    color_of = {v: rng.choice(PALETTE) for v in range(n)}
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
-    ]
+    n = draw(st.integers(0, 40))
+    degree = draw(st.sampled_from([0.5, 1, 2, 4, 8]))
+    palette = PALETTE[: rng.randrange(1, len(PALETTE) + 1)]
+    color_of = {v: rng.choice(palette) for v in range(n)}
+    # the pairs come from a plain Random: one draw per pair through `rng`
+    # would cost seconds over the examples
+    pick = Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+             if pick.random() < degree / max(n - 1, 1)]
     route = [rng.randrange(2) for _ in range(n)]
     phase = [rng.randrange(3) for _ in range(n)]
     listed = rng.sample(PALETTE, rng.randrange(len(PALETTE) + 1))
