@@ -74,42 +74,39 @@ def test_benchmark_counts_are_unchanged(episode, workload, seed):
     assert ep["counts"] == dict(zip(keys, COUNTS[workload, seed]))
 
 
-def test_join_passes_stay_within_their_memory(episode, monkeypatch):
-    """No pass of the dynamic-grid3x3 episode's joins allocates more than
-    `PASS_PEAK_BYTES` at its peak, as tracemalloc counts it from the
-    pass's start: a larger pass raises the process's peak RSS."""
-    conflicts, peaks = conflict_graph._Classes.conflicts, []
-
-    def measured(*args):
-        tracemalloc.start()
-        try:
-            return conflicts(*args)
-        finally:
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-
-    monkeypatch.setattr(conflict_graph._Classes, "conflicts", measured)
-    _, _, net, batches, planner = episode.setup("dynamic-grid3x3", 0, "full")
-    episode.run_episode(planner, net, batches)
-    assert len(peaks) > len(batches) and max(peaks) <= PASS_PEAK_BYTES
-
-
-def test_solves_stay_within_their_memory(episode, monkeypatch):
-    """The offline-waxman64 seed-0 episode's one solve allocates at most
-    `SOLVE_PEAK_BYTES` at its peak, as tracemalloc counts it from the
-    solve's start: its extra memory scales with one color's arcs, not with
-    the graph's 275,722."""
-    gfh_solve, peaks = solver.gfh_solve, []
+def peaks_of(monkeypatch, owner, name, episode, workload):
+    """Runs `workload`'s seed-0 episode with `owner.name` wrapped, and
+    returns each call's peak allocation, as tracemalloc counts it from the
+    call's start."""
+    call, peaks = getattr(owner, name), []
 
     def measured(*args, **kwargs):
         tracemalloc.start()
         try:
-            return gfh_solve(*args, **kwargs)
+            return call(*args, **kwargs)
         finally:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    monkeypatch.setattr(solver, "gfh_solve", measured)
-    _, _, net, batches, planner = episode.setup("offline-waxman64", 0, "full")
+    monkeypatch.setattr(owner, name, measured)
+    _, _, net, batches, planner = episode.setup(workload, 0, "full")
     episode.run_episode(planner, net, batches)
+    return peaks, batches
+
+
+def test_join_passes_stay_within_their_memory(episode, monkeypatch):
+    """No pass of the dynamic-grid3x3 episode's joins allocates more than
+    `PASS_PEAK_BYTES` at its peak: a larger pass raises the process's peak
+    RSS."""
+    peaks, batches = peaks_of(
+        monkeypatch, conflict_graph._Classes, "conflicts", episode, "dynamic-grid3x3"
+    )
+    assert len(peaks) > len(batches) and max(peaks) <= PASS_PEAK_BYTES
+
+
+def test_solves_stay_within_their_memory(episode, monkeypatch):
+    """The offline-waxman64 episode's one solve allocates at most
+    `SOLVE_PEAK_BYTES` at its peak: its extra memory scales with one
+    color's arcs, not with the graph's 275,722."""
+    peaks, _ = peaks_of(monkeypatch, solver, "gfh_solve", episode, "offline-waxman64")
     assert len(peaks) == 1 and peaks[0] <= SOLVE_PEAK_BYTES
