@@ -19,7 +19,8 @@ from the phases; the demo exits with status 1 if any plan has a problem.
 With `--json` the last line printed is one JSON object: the offline
 batch's `rejected`, `vertices`, `edges`, `routing_s`, `expansion_s` and
 `solving_s`; `validate_s` over all plans, `wall_s` and `peak_rss_mib`; and
-with updates the p50 and p90 of their `total_ms` and `solving_ms`:
+with updates the p50 and p90 of their `total_ms`, `solving_ms` and
+`routing_ms`:
 
     python demos/large_scale.py --bridges 64 --streams 2000 --iterations 10 --json
 """
@@ -87,7 +88,7 @@ def main():
     updates = metrics[1:]
     if updates:
         last = updates[-1]
-        for name in ("total", "solving"):
+        for name in ("total", "solving", "routing"):
             ms = sorted(getattr(u, f"{name}_ms") for u in updates)
             result[f"{name}_ms_p50"] = statistics.median(ms)
             # nearest-rank 90th percentile

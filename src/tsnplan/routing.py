@@ -10,28 +10,32 @@ lexicographically smallest; interior nodes are bridges only. It runs on
 integer node ids numbered in sorted node-name order, so comparing id
 sequences compares name sequences, and works in two steps:
 
-1. Reverse distance: the cost from each node to the destination. One
-   vectorised min-plus relaxation over the bridges' out-links lowers each
-   bridge's distance to the least link cost plus successor distance. The
-   destination stays at 0 and no other end device gets a distance, so none
-   is ever interior. The source's distance is the least over its own
-   out-links. After r rounds a bridge's distance is its least cost over
-   routes of at most r links, and once no distance falls every distance is
-   exact. The first candidate's relaxation runs until then: its unit costs
-   depend on the destination alone, so one converged distance serves every
-   stream of a batch that shares the destination, and the walk's proof
-   below holds at every node. A penalised search's costs depend on the
-   stream's earlier routes, so it runs per stream and may stop early. A
-   longer route than r links costs at least r - 1 + m_d, m_d the least
-   cost of a bridge's link into the destination, as every link costs at
-   least 1; so every distance of at most r - 1 + m_d is exact. The
-   penalised rounds also stop once the source's bound is at most
-   r - 1 + m_d + m_s, m_s its least first-hop cost: then the source's
-   distance is exact, and so is every distance below it by m_s or more,
-   which covers every node the walk below can call tight.
-2. Forward walk: from the source, repeatedly take the out-link to the
-   smallest node id that is tight, i.e. whose distance plus the link's cost
-   equals the current node's distance.
+1. Reverse distance: the cost from each node to the destination.
+   - Unit costs: one vectorised min-plus relaxation over the bridges'
+     out-links lowers each bridge's distance to one plus its least
+     successor distance, until no distance falls; then every distance D is
+     exact. The destination stays at 0 and no other end device gets a
+     distance, so none is ever interior. D depends on the destination
+     alone, so one relaxation serves every stream of a batch that shares
+     it. Next to D, each node's count of tight out-links u -> v, those with
+     D[v] + 1 = D[u], is kept.
+   - Penalised costs repair D (Ramalingam and Reps, 1996). A cost that
+     rises lowers no distance, and a node keeps its D while it keeps a
+     tight out-link that is unpenalised and leads to a node that keeps its
+     own. Every other node is affected: its tight out-links are all
+     penalised or lead to affected nodes, found by lowering the counts of
+     the penalised tight links' tails and then, from each affected node,
+     those of its tight predecessors. Unaffected nodes keep an exact D; one
+     Dijkstra over the affected nodes alone, seeded with each one's least
+     cost through an unaffected successor, makes theirs exact too.
+   - A link that every route crosses, the source's only out-link or the
+     destination's only in-link, adds the same cost to every route and so
+     is never penalised: in both the repair and the walk it costs 1.
+     Penalised, it would affect every node behind it.
+2. Forward walk: the source's distance is the least over its own
+   out-links; from the source, repeatedly take the out-link to the smallest
+   node id that is tight, i.e. whose distance plus the link's cost equals
+   the current node's distance.
 
 The walk yields the smallest sequence because every suffix of a min-cost
 route is a min-cost route from its first node, and with positive link
@@ -42,6 +46,7 @@ routes in favour of the walk. A node on no min-cost route is never tight.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,11 +97,11 @@ class _Index:
 
     Node ids follow sorted node names. `out_dst[out_ptr[u]:out_ptr[u + 1]]`
     are the ends of u's out-links in ascending order. Link u -> v is known
-    by its code u * n + v, n the node count. The bridges' out-links are also
-    kept as flat numpy columns in ascending code order: `dst` and `code`,
-    with `starts[i]` the first link of bridge `rows[i]`, and `into[v]` lists
-    the codes of the bridges' links into v. Links to or from unknown nodes
-    are left out.
+    by its code u * n + v, n the node count, and `into[v]` lists the tails of
+    all links into v. The bridges' out-links are also kept as flat numpy
+    columns in ascending code order: `src` and `dst`, with `starts[i]` the
+    first link of bridge `rows[i]`. Links to or from unknown nodes are left
+    out.
     """
 
     def __init__(self, net: Network):
@@ -105,24 +110,23 @@ class _Index:
         n = len(self.names)
         self.out_ptr = [0]
         self.out_dst: list[int] = []
-        rows, dst, code = [], [], []
+        rows, src, dst = [], [], []
         self.into: list[list[int]] = [[] for _ in range(n)]
         for u, name in enumerate(self.names):
             for link in net.out_links(name):  # sorted by destination name
                 v = self.id.get(link.dst)
                 if v is not None:
                     self.out_dst.append(v)
+                    self.into[v].append(u)
             a, b = self.out_ptr[-1], len(self.out_dst)
             self.out_ptr.append(b)
             if net.nodes[name].kind == BRIDGE and b > a:
                 rows.append(u)
+                src.extend([u] * (b - a))
                 dst.extend(self.out_dst[a:b])
-                for v in self.out_dst[a:b]:
-                    code.append(u * n + v)
-                    self.into[v].append(u * n + v)
         self.rows = np.array(rows, dtype=np.intp)
+        self.src = np.array(src, dtype=np.intp)
         self.dst = np.array(dst, dtype=np.intp)
-        self.code = np.array(code, dtype=np.int64)
         counts = np.diff(np.array(self.out_ptr, dtype=np.intp))[self.rows]
         self.starts = np.cumsum(counts) - counts
 
@@ -144,24 +148,61 @@ def _ends(ix: _Index, src: str, dst: str) -> tuple[int, int]:
     return s, d
 
 
-def _relax(
-    ix: _Index, d: int, w: np.ndarray, first_hops=(), slack: int = 0
-) -> np.ndarray:
-    """Reverse distances to node d under link costs w (in `ix.code` order):
-    step 1's min-plus relaxation, run until no distance falls or, given the
-    source's first hops and their slack, until the source's bound is exact."""
-    dist = np.full(len(ix.names), _FAR, dtype=np.int64)
+def _relax(ix: _Index, d: int) -> np.ndarray:
+    """Step 1 for unit costs, run until no distance falls. Row 0 holds each
+    node's reverse distance D to node d, row 1 its count of tight out-links."""
+    rev = np.full((2, len(ix.names)), _FAR, dtype=np.int64)
+    dist = rev[0]
     dist[d] = 0
-    # every cost is below _FAR + PENALTY_WEIGHT < 2**63, so int64 is exact;
-    # best >= 1 keeps a bridge dst at 0
-    rounds = 0
-    while min((c + int(dist[v]) for v, c in first_hops), default=_FAR) > rounds + slack:
-        best = np.minimum.reduceat(w + dist[ix.dst], ix.starts)
+    # every distance is below _FAR + 1 < 2**63, so int64 is exact; best >= 1
+    # keeps a bridge dst at 0
+    while True:
+        best = np.minimum.reduceat(dist[ix.dst], ix.starts) + 1
         cur = dist[ix.rows]
         if not (best < cur).any():
             break
         dist[ix.rows] = np.minimum(cur, best)
-        rounds += 1
+    tight = dist[ix.dst] + 1 == dist[ix.src]
+    rev[1] = np.bincount(ix.src[tight], minlength=len(ix.names))
+    return rev
+
+
+def _repair(ix: _Index, rev: np.ndarray, penalized: set[int]) -> list[int]:
+    """Step 1 for penalized costs: a fresh list of `rev`'s distances (see
+    `_relax`) with those of the affected nodes recomputed."""
+    n = len(ix.names)
+    dist, count = rev[0].tolist(), rev[1]
+    lost: dict[int, int] = {}
+    affected: list[int] = []
+    # a node is affected once it has lost each tight out-link, to the penalty
+    # or to an affected head; `links` lists the candidates, each link once
+    links = [divmod(code, n) for code in penalized]
+    for u, v in links:  # grows while it is read
+        if dist[v] + 1 == dist[u]:
+            lost[u] = m = lost.get(u, 0) + 1
+            if m == count[u]:
+                affected.append(u)
+                links.extend((p, u) for p in ix.into[u] if p * n + u not in penalized)
+    # Dijkstra over the affected nodes, seeded through unaffected successors
+    open_ = set(affected)
+    heap = []
+    for u in affected:
+        best, base = _FAR, u * n
+        for v in ix.out_dst[ix.out_ptr[u] : ix.out_ptr[u + 1]]:
+            c = PENALTY_WEIGHT if base + v in penalized else 1
+            if v not in open_ and dist[v] + c < best:
+                best = dist[v] + c
+        heap.append((best, u))
+    heapq.heapify(heap)
+    while heap:
+        du, u = heapq.heappop(heap)
+        if u in open_:
+            open_.remove(u)
+            dist[u] = du
+            for p in ix.into[u]:
+                if p in open_:
+                    c = PENALTY_WEIGHT if p * n + u in penalized else 1
+                    heapq.heappush(heap, (du + c, p))
     return dist
 
 
@@ -187,28 +228,11 @@ def _walk(
                 path.append(nxt)
                 v = nxt
                 break
+        else:
+            raise RuntimeError(
+                f"no tight out-link from {ix.names[v]!r} toward {ix.names[d]!r}"
+            )
     return tuple(path)
-
-
-def _search(ix: _Index, src: str, dst: str, penalized: set[int]) -> tuple[int, ...]:
-    """Node ids of the lexicographically smallest min-cost route; links whose
-    code is in `penalized` cost PENALTY_WEIGHT, all others 1."""
-    s, d = _ends(ix, src, dst)
-    n = len(ix.names)
-    w = np.ones(len(ix.code), dtype=np.int64)
-    if penalized and len(w):
-        pen = np.fromiter(penalized, dtype=np.int64, count=len(penalized))
-        at = np.minimum(np.searchsorted(ix.code, pen), len(w) - 1)
-        w[at[ix.code[at] == pen]] = PENALTY_WEIGHT
-    first_hops = [
-        (v, PENALTY_WEIGHT if s * n + v in penalized else 1)
-        for v in ix.out_dst[ix.out_ptr[s] : ix.out_ptr[s + 1]]
-    ]
-    # least costs of a first hop and of a bridge's link into dst (a lower
-    # bound, PENALTY_WEIGHT when no bridge links into dst)
-    into_dst = 1 if any(c not in penalized for c in ix.into[d]) else PENALTY_WEIGHT
-    slack = min((c for _, c in first_hops), default=1) + into_dst - 1
-    return _walk(ix, s, d, _relax(ix, d, w, first_hops, slack).tolist(), penalized)
 
 
 def shortest_path(net: Network, src: str, dst: str) -> Route:
@@ -222,9 +246,10 @@ def candidate_routes(
     """Up to k distinct routes, later ones penalized away from earlier ones.
 
     The first route walks its destination's converged unit-cost reverse
-    distance, read from `reverse` (destination node id -> int64 array) or
-    relaxed and stored there. One dict passed to every call of a batch
-    relaxes each destination once; its distances hold for `net` alone.
+    distance, read from `reverse` (destination node id -> `_relax`'s int64
+    array) or relaxed and stored there; later routes walk a repair of it.
+    One dict passed to every call of a batch relaxes each destination once;
+    its distances hold for `net` alone.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -232,17 +257,23 @@ def candidate_routes(
     s, d = _ends(ix, src, dst)
     if reverse is None:
         reverse = {}
-    dist = reverse.get(d)
-    if dist is None:
-        dist = reverse[d] = _relax(ix, d, np.ones(len(ix.code), dtype=np.int64))
-    found = [_walk(ix, s, d, dist.tolist(), set())]
-    used = set(ix.link_codes(found[0]))
+    rev = reverse.get(d)
+    if rev is None:
+        rev = reverse[d] = _relax(ix, d)
+    found = [_walk(ix, s, d, rev[0].tolist(), set())]
+    # links that every route crosses stay unpenalized (module docstring)
+    n, first, into_d = len(ix.names), ix.out_ptr[s], ix.into[d]
+    crossed = {into_d[0] * n + d} if len(into_d) == 1 else set()
+    if ix.out_ptr[s + 1] - first == 1:
+        crossed.add(s * n + ix.out_dst[first])
+    used = set(ix.link_codes(found[0])) - crossed
     while len(found) < k:
-        nxt = _search(ix, src, dst, used)
+        nxt = _walk(ix, s, d, _repair(ix, rev, used), used)
         if nxt in found:
             break  # penalty view is now stable, no further distinct route
         found.append(nxt)
         used.update(ix.link_codes(nxt))
+        used -= crossed
     names = ix.names
     return [
         Route(tuple(net.link(names[u], names[v]) for u, v in zip(p, p[1:])))

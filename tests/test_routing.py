@@ -1,19 +1,27 @@
 import itertools
+import json
+import tempfile
 import weakref
+from collections import Counter
 from random import Random
 
 import pytest
 
-from tsnplan import solver
+from tsnplan import routing, solver
 from tsnplan.expansion import ExpansionParams
-from tsnplan.harness import gen_grid, gen_random, gen_ring, gen_waxman
+from tsnplan.harness import (
+    ExperimentConfig, build_topology, gen_grid, gen_random, gen_ring, gen_waxman,
+)
 from tsnplan.model import BRIDGE, END_DEVICE, Link, Network, Node, Stream, StreamBatch
 from tsnplan.routing import (
+    _FAR,
     PENALTY_WEIGHT,
     Route,
     Unreachable,
     _index,
-    _search,
+    _relax,
+    _repair,
+    _walk,
     candidate_routes,
     shortest_path,
 )
@@ -88,11 +96,55 @@ def one_way_ring_net() -> Network:
     return Network(nodes, links)
 
 
+def device_shortcut_net() -> Network:
+    """One-way links d0 -> d2, d0 -> b, d0 -> c, c -> b and b -> d2: every
+    bridge route into d2 ends with b -> d2, but the direct device link is a
+    second way in."""
+    nodes = [Node(x, END_DEVICE) for x in ("d0", "d2")] + [Node(x, BRIDGE) for x in "bc"]
+    pairs = [("d0", "d2"), ("d0", "b"), ("d0", "c"), ("c", "b"), ("b", "d2")]
+    return Network(nodes, [Link(u, v, 1000) for u, v in pairs])
+
+
+def dual_homed_file_net() -> Network:
+    """A `kind: file` topology of 8 meshed bridges whose 6 devices each
+    hang off two bridges, so every device has two links in and two out."""
+    bridges = [f"b{i}" for i in range(8)]
+    cables = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+              (0, 4), (2, 6), (1, 7)]
+    homes = [(f"d{i}", bridges[i], bridges[(i + 3) % 8]) for i in range(6)]
+    pairs = [(bridges[u], bridges[v]) for u, v in cables]
+    pairs += [(dev, b) for dev, *two in homes for b in two]
+    doc = {
+        "nodes": [{"id": b, "kind": BRIDGE} for b in bridges]
+        + [{"id": dev, "kind": END_DEVICE} for dev, *_ in homes],
+        "links": [{"from": a, "to": b, "rate": 1000} for u, v in pairs
+                  for a, b in ((u, v), (v, u))],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/net.json"
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        return build_topology(ExperimentConfig(topology={"kind": "file", "path": path}))
+
+
+def cut_link_net() -> Network:
+    """Two bridge rings b0-b3 and b4-b7, one device each, joined only by the
+    cable b3 - b4: every route between the rings crosses it."""
+    ring = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    cables = ring + [(u + 4, v + 4) for u, v in ring] + [(3, 4)]
+    nodes = [Node(f"b{i}", BRIDGE) for i in range(8)] + [Node(f"d{i}", END_DEVICE) for i in range(8)]
+    pairs = [(f"b{u}", f"b{v}") for u, v in cables] + [(f"d{i}", f"b{i}") for i in range(8)]
+    return Network(nodes, [l for u, v in pairs for l in (Link(u, v, 1000), Link(v, u, 1000))])
+
+
 ORACLE_NETS = {
     "ring12": lambda: gen_ring(12),  # "b10" < "b2" decides ties
     "grid3x4": lambda: gen_grid(3, 4),
     "multi-homed": multi_homed_net,
     "one-way-ring5": one_way_ring_net,
+    "device-shortcut": device_shortcut_net,
+    "dual-homed-file": dual_homed_file_net,
+    "cut-link": cut_link_net,
     **{f"waxman40-s{s}": (lambda s=s: gen_waxman(40, seed=s)) for s in range(3)},
     **{f"random30-s{s}": (lambda s=s: gen_random(30, 0.15, s)) for s in range(3)},
     "waxman128-s0": lambda: gen_waxman(128, seed=0),  # the benchmark's topology
@@ -134,18 +186,55 @@ def test_candidate_routes_match_path_heap_oracle(name):
 )
 def test_search_waits_for_a_long_route_that_ties_a_penalized_shortcut(penalized):
     # a reaches z through c or through b1 ... b10, at equal cost: 11, or 20
-    # when every link into z is penalized. Via c is known after one or two
-    # relaxation rounds, via b1 only after ten; the search may not stop
-    # before, since b1 < c makes that route the smaller one
+    # when every link into z is penalized. The repair must give b1 the
+    # distance of the long route, since b1 < c makes that route the smaller
+    # one
     chain = [f"b{i}" for i in range(1, 11)]
     nodes = [Node(x, END_DEVICE) for x in ("a", "z")] + [Node(x, BRIDGE) for x in chain + ["c"]]
     pairs = [("a", "c"), ("c", "z"), ("a", "b1"), *zip(chain, chain[1:]), ("b10", "z")]
     net = Network(nodes, [l for u, v in pairs for l in (Link(u, v, 1000), Link(v, u, 1000))])
     ix = _index(net)
+    a, z = ix.id["a"], ix.id["z"]
     codes = {ix.id[u] * len(ix.names) + ix.id[v] for u, v in penalized}
-    path = _search(ix, "a", "z", codes)
+    path = _walk(ix, a, z, _repair(ix, _relax(ix, z), codes), codes)
     want = _dijkstra(net, "a", "z", dict.fromkeys(penalized, PENALTY_WEIGHT))
     assert tuple(ix.names[x] for x in path) == want.nodes == ("a", *chain, "z")
+
+
+def test_device_link_into_the_destination_keeps_the_bridge_link_penalized():
+    # b -> d2 is the only bridge link into d2, but not its only link in
+    net = device_shortcut_net()
+    assert [r.nodes for r in candidate_routes(net, "d0", "d2", 3)] == [
+        ("d0", "d2"),
+        ("d0", "b", "d2"),
+    ]
+
+
+def test_repair_raises_every_distance_behind_a_penalized_cut_link():
+    net = cut_link_net()
+    ix = _index(net)
+    n, d6 = len(ix.names), ix.id["d6"]
+    rev = _relax(ix, d6)
+    unit = rev[0].tolist()
+    got = _repair(ix, rev, {ix.id["b3"] * n + ix.id["b4"]})
+    behind = {ix.id[f"b{i}"] for i in range(4)}
+    assert [got[x] - unit[x] for x in sorted(behind)] == [PENALTY_WEIGHT - 1] * 4
+    assert all(got[x] == unit[x] for x in range(n) if x not in behind)
+    # the second route pays for b3 -> b4 and avoids the first's other links
+    assert [r.nodes for r in candidate_routes(net, "d0", "d6", 2)] == [
+        ("d0", "b0", "b3", "b4", "b5", "b6", "d6"),
+        ("d0", "b0", "b1", "b2", "b3", "b4", "b7", "b6", "d6"),
+    ]
+
+
+def test_walk_without_a_tight_out_link_raises():
+    net = gen_ring(4)
+    ix = _index(net)
+    d0, b0, d2 = ix.id["d0"], ix.id["b0"], ix.id["d2"]
+    dist = [_FAR] * len(ix.names)
+    dist[d2], dist[b0] = 0, 5  # b0 claims a distance none of its successors backs
+    with pytest.raises(RuntimeError, match="'b0'.*'d2'"):
+        _walk(ix, d0, d2, dist, set())
 
 
 def test_one_way_ring_routes():
@@ -309,3 +398,22 @@ def test_no_reverse_distance_outlives_its_batch(monkeypatch):
         # one distance per destination, the first made by the batch itself
         assert sizes == [0, 1, 2] + [3] * (len(add) - 3)
         assert all(ref() is None for ref in alive)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_each_destination_is_relaxed_once_per_batch(monkeypatch, k):
+    net = ORACLE_NETS["waxman40-s0"]()
+    ends = net.end_devices()
+    pairs = [(src, ends[j % 3]) for j, src in enumerate(ends[3:15])]
+    pairs += [(ends[0], ends[1]), (ends[1], ends[0])]
+    relaxed = Counter()
+    real_relax = routing._relax
+
+    def relax(ix, d):
+        relaxed[ix.names[d]] += 1
+        return real_relax(ix, d)
+
+    monkeypatch.setattr(routing, "_relax", relax)
+    routes, _ = routes_of_one_batch(monkeypatch, net, pairs, k)
+    assert all(len(r) == k for r in routes.values())  # every stream searched again
+    assert relaxed == Counter({dst: 1 for _, dst in pairs})
