@@ -1,9 +1,12 @@
 """Conflict graph expansion: which configurations to add for new streams.
 
 Two orthogonal choices: the enumeration scheme (deterministic phase ladder
-vs uniformly random phases per route) and the budget distribution strategy
-(homogeneous split vs one of three heterogeneous formulas). Budgets are
-computed with exact rationals and integerized by largest remainder so the
+vs uniformly random phases per route) and the budget distribution strategy.
+The homogeneous strategy splits the budget evenly. The paper's three
+heuristics share one formula over three metrics (traffic volume, average
+degree, page-rank): the extras go to the new streams in proportion to each
+one's distance below a ceiling. Budgets are computed with exact rationals,
+floats for page-rank, and integerized by largest remainder so the
 distributed totals are preserved deterministically.
 """
 
@@ -178,26 +181,32 @@ def _largest_remainder(raws, total: int, order: list[str]) -> dict[str, int]:
     return dict(zip(order, floors))
 
 
+def _extras(metrics: dict, top, r_i: int, order: list[str]) -> dict:
+    """Raw extras r_i * (top - m_i) / sum_j (top - m_j) of the streams of
+    `order`, for a ceiling `top` at or above every metric, or an even split
+    of r_i when the distances sum to zero. Ints and `Fraction`s test the sum
+    exactly; floats within 1e-12, as a sum of equal floats can miss zero by
+    rounding."""
+    denom = top * len(order) - sum(metrics.values())
+    if denom == 0 or isinstance(denom, float) and abs(denom) < 1e-12:
+        return dict.fromkeys(order, Fraction(r_i, len(order) or 1))
+    return {sid: (top - metrics[sid]) / denom * r_i for sid in order}
+
+
 def budget_homogeneous(batch: StreamBatch, vbar: int, g: ConflictGraph) -> dict[str, int]:
     """Even split of the free vertex allowance over the new streams."""
     order = [s.id for s in batch.add]
-    if not order:
-        return {}
     avail = max(0, vbar - g.vertex_count)
-    return _largest_remainder(dict.fromkeys(order, Fraction(avail, len(order))), avail, order)
+    return _largest_remainder(_extras(dict.fromkeys(order, 0), 0, avail, order), avail, order)
 
 
-def raw_traffic_volume(batch: StreamBatch, r_i: int, all_streams: list[Stream]):
-    """Exact raw extras of the traffic-volume formula, or None when the
-    denominator degenerates (every new stream at maximal volume). The
-    maximal volume is an MTU per shortest period, or a new stream's volume
-    where one is larger, so that no extra is negative."""
+def raw_traffic_volume(batch: StreamBatch, r_i: int, all_streams: list[Stream]) -> dict:
+    """Exact raw extras of the traffic-volume formula (Eq. 1). Its ceiling is
+    an MTU per shortest period, or a new stream's volume where one is
+    larger, so that no extra is negative."""
     vols = {s.id: traffic_volume(s) for s in batch.add}
-    vbar = max([Fraction(MTU, min(s.period for s in all_streams)), *vols.values()])
-    denom = vbar * len(batch.add) - sum(vols.values())
-    if denom == 0:
-        return None
-    return {s.id: (vbar - vols[s.id]) / denom * r_i for s in batch.add}
+    top = max([Fraction(MTU, min(s.period for s in all_streams)), *vols.values()])
+    return _extras(vols, top, r_i, list(vols))
 
 
 def budget_traffic_volume(
@@ -205,30 +214,14 @@ def budget_traffic_volume(
 ) -> dict[str, int]:
     """Extras inversely proportional to traffic volume, plus the base budget."""
     order = [s.id for s in batch.add]
-    raws = raw_traffic_volume(batch, r_i, all_streams)
-    if raws is None:  # an even split; an empty batch splits nothing
-        raws = dict.fromkeys(order, Fraction(r_i, len(order) or 1))
-    extras = _largest_remainder(raws, r_i, order)
+    extras = _largest_remainder(raw_traffic_volume(batch, r_i, all_streams), r_i, order)
     return {sid: extras[sid] + alpha for sid in order}
 
 
 def _metric_budget(metrics: dict, r_i: int, order: list[str]) -> dict[str, int]:
-    """Shared shape of the avg-degree and page-rank formulas: extras
-    proportional to the distance below the hardest stream's metric.
-
-    Near-equal float totals count as degenerate and split evenly. The exact
-    average-degree denominator is a sum of terms top - m_i >= 0; a positive
-    one is a difference of two fractions whose denominators, the streams'
-    vertex counts, are at most alpha when the budget is computed, so it is
-    at least 1/alpha**2, and for any alpha below 10**6 it clears the
-    tolerance."""
-    top = max(metrics.values())
-    denom = top * len(order) - sum(metrics.values())
-    if abs(denom) < 1e-12:
-        raws = dict.fromkeys(order, Fraction(r_i, len(order)))
-    else:
-        raws = {sid: (top - metrics[sid]) / denom * r_i for sid in order}
-    return _largest_remainder(raws, r_i, order)
+    """The avg-degree and page-rank formulas (Eq. 2 and 3): the ceiling is
+    the hardest stream's metric."""
+    return _largest_remainder(_extras(metrics, max(metrics.values()), r_i, order), r_i, order)
 
 
 def stream_sums(
@@ -311,26 +304,20 @@ def expand(
         report.surplus[stream.id] = report.surplus.get(stream.id, 0) + budget - len(combos)
         return combos
 
+    r_i = remaining_budget(vbar, g, batch, params.alpha)
+    placed: dict[str, set[tuple[int, int]]] = {}
     if params.strategy == "homogeneous":
-        budgets = budget_homogeneous(batch, vbar, g)
-        for s in new_streams:
-            place(s, budgets[s.id])
+        budgets = extras = budget_homogeneous(batch, vbar, g)
     elif params.strategy == "traffic-volume":
-        r_i = remaining_budget(vbar, g, batch, params.alpha)
-        budgets = budget_traffic_volume(batch, r_i, params.alpha, live_streams)
-        for s in new_streams:
-            place(s, budgets[s.id])
+        budgets = extras = budget_traffic_volume(batch, r_i, params.alpha, live_streams)
     else:  # two-step strategies: base placement first, metric budgets second
-        r_i = remaining_budget(vbar, g, batch, params.alpha)
         placed = {s.id: set(place(s, params.alpha)) for s in new_streams}
         g.join_queued()  # the metric reads the edges: join here, as at the end
-        if params.strategy == "avg-degree":
-            extras = budget_avg_degree(batch, r_i, g)
-        else:
-            extras = budget_page_rank(batch, r_i, g)
+        metric = budget_avg_degree if params.strategy == "avg-degree" else budget_page_rank
+        extras = metric(batch, r_i, g)
         budgets = {s.id: params.alpha + extras[s.id] for s in new_streams}
-        for s in new_streams:
-            place(s, extras[s.id], placed[s.id])
+    for s in new_streams:
+        place(s, extras[s.id], placed.get(s.id))
 
     # the join is graph creation: run it here, in expansion's own time, not
     # inside the first read of the edges

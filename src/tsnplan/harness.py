@@ -251,8 +251,9 @@ def build_scenario(cfg: ExperimentConfig, net: Network) -> list[StreamBatch]:
     """Initial batch plus the configured dynamic update batches.
 
     Deletions are drawn from the streams that are still expected to be
-    present assuming nothing got rejected; the planner drops delete entries
-    for streams that were in fact rejected (see run_experiment).
+    present assuming nothing got rejected. `Planner.iterate` raises on a
+    delete entry for a stream that was in fact rejected, so a caller drops
+    those entries from a copy of each batch first, as run_experiment does.
     """
     batches = [
         StreamBatch(

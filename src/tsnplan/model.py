@@ -76,7 +76,6 @@ class Network:
                 self._out[l.src].append(l)
         for lst in self._out.values():
             lst.sort(key=lambda l: l.dst)
-        self._route_index = None  # routing's integer view, built on first use
 
     def node(self, nid: str) -> Node:
         return self.nodes[nid]
@@ -179,14 +178,6 @@ class StreamBatch:
         unknown = set(self.delete) - admitted
         if unknown:
             raise ValueError(f"delete set names unadmitted ids: {sorted(unknown)}")
-
-
-@dataclass
-class IterationState:
-    """Admitted streams and their current plan, carried across iterations."""
-
-    admitted: dict[str, Stream] = field(default_factory=dict)
-    plan: "object" = None  # solver.TrafficPlan
 
 
 def traffic_volume(stream: Stream) -> Fraction:

@@ -47,6 +47,7 @@ routes in favour of the walk. A node on no min-cost route is never tight.
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,10 +136,15 @@ class _Index:
         return [u * n + v for u, v in zip(path, path[1:])]
 
 
+#: each network's integer view, built on first use and dropped with the network
+_INDEXES: weakref.WeakKeyDictionary[Network, _Index] = weakref.WeakKeyDictionary()
+
+
 def _index(net: Network) -> _Index:
-    if net._route_index is None:
-        net._route_index = _Index(net)
-    return net._route_index
+    ix = _INDEXES.get(net)
+    if ix is None:
+        ix = _INDEXES[net] = _Index(net)
+    return ix
 
 
 def _ends(ix: _Index, src: str, dst: str) -> tuple[int, int]:

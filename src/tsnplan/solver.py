@@ -25,7 +25,7 @@ import numpy as np
 
 from .conflict_graph import Configuration, ConflictGraph, _rows
 from .expansion import ExpansionParams, expand
-from .model import IterationState, Network, StreamBatch, hypercycle
+from .model import Network, Stream, StreamBatch, hypercycle
 from .routing import Unreachable, candidate_routes
 from .timing import ORACLE_BOUND, OracleBoundExceeded, link_occupancy
 
@@ -42,6 +42,14 @@ class RequiredColorUnsatisfiable(Exception):
 class TrafficPlan:
     iteration: int
     assignments: dict[str, Configuration] = field(default_factory=dict)
+
+
+@dataclass
+class IterationState:
+    """Admitted streams and their current plan, carried across iterations."""
+
+    plan: TrafficPlan
+    admitted: dict[str, Stream] = field(default_factory=dict)
 
 
 @dataclass

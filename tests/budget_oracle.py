@@ -9,11 +9,17 @@ slow for Fractions but obviously right, which makes it the oracle
 `oracle_uniform_split` is the closed form of an even split: the first
 `total % n` streams get one more than `total // n`. The budgets pass equal
 `Fraction` shares to `_largest_remainder` instead, which must agree.
+
+`oracle_extras` writes the budget formula the plain way: each stream's
+distance below the ceiling, times r_i, over the distances' own sum, or an
+even split of r_i when that sum is zero (within 1e-12 for floats). It is
+what `tsnplan.expansion._extras` is checked against.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def oracle_largest_remainder(raws, total: int, order: list[str]) -> dict[str, int]:
@@ -30,3 +36,11 @@ def oracle_largest_remainder(raws, total: int, order: list[str]) -> dict[str, in
 def oracle_uniform_split(total: int, order: list[str]) -> dict[str, int]:
     n = len(order)
     return {sid: total // n + (1 if i < total % n else 0) for i, sid in enumerate(order)}
+
+
+def oracle_extras(metrics: dict, top, r_i: int, order: list[str]) -> dict:
+    dist = {sid: top - metrics[sid] for sid in order}
+    total = sum(dist.values())
+    if total == 0 or isinstance(total, float) and abs(total) < 1e-12:
+        return {sid: Fraction(r_i, len(order)) for sid in order}
+    return {sid: r_i * d / total for sid, d in dist.items()}

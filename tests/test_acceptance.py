@@ -86,10 +86,10 @@ def run_recorded(cfg):
     planner = Planner(net, cfg.expansion_params(), k_routes=cfg.k_routes)
     records = []
     for batch in batches:
-        batch.delete = [d for d in batch.delete if d in planner.state.admitted]
-        planner.iterate(batch)
+        delete = [d for d in batch.delete if d in planner.state.admitted]
+        planner.iterate(StreamBatch(batch.iteration, batch.add, delete))
         records.append({
-            "deleted": set(batch.delete),
+            "deleted": set(delete),
             "plan_ids": set(planner.state.plan.assignments),
             "problems": validate_plan(net, planner.state.plan),
         })

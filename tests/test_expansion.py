@@ -4,7 +4,7 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsnplan import conflict_graph, timing
@@ -22,6 +22,7 @@ from tsnplan.expansion import (
     randomized_enumeration,
     raw_traffic_volume,
     remaining_budget,
+    _extras,
     _largest_remainder,
     _metric_budget,
 )
@@ -38,7 +39,7 @@ from conftest import (
     shared_link_net,
     through_route,
 )
-from budget_oracle import oracle_largest_remainder, oracle_uniform_split
+from budget_oracle import oracle_extras, oracle_largest_remainder, oracle_uniform_split
 from enumeration_oracle import oracle_randomized_enumeration
 
 
@@ -242,9 +243,12 @@ def test_traffic_volume_equal_volumes_split_evenly():
 
 
 def test_traffic_volume_degenerate_denominator():
-    # every new stream at the maximal volume -> uniform split of the extras
+    # every new stream at the maximal volume -> even split of the extras
     s1, s2 = vol_stream("s1", 1500), vol_stream("s2", 1500)
-    assert raw_traffic_volume(batch_of(s1, s2), 10, [s1, s2]) is None
+    assert raw_traffic_volume(batch_of(s1, s2), 9, [s1, s2]) == {
+        "s1": Fraction(9, 2),
+        "s2": Fraction(9, 2),
+    }
     assert budget_traffic_volume(batch_of(s1, s2), 9, 5, [s1, s2]) == {
         "s1": 10,
         "s2": 9,
@@ -278,6 +282,50 @@ def test_metric_budget_page_rank_example():
         "s1": 0,
         "s2": 8,
     }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.builds(Fraction, st.integers(0, 30), st.integers(1, 8)), max_size=10),
+        st.lists(st.floats(0, 1), max_size=10),
+    ),
+    st.integers(0, 3),
+    st.integers(0, 100),
+)
+def test_extras_matches_oracle(metrics, lift, r_i):
+    """Exact metrics give the oracle's raws exactly, floats up to rounding.
+    The ceiling is the largest metric, lifted by 0 to 3 as Eq. 1's MTU
+    ceiling may be. The oracle sums the distances in another order, so a
+    float sum both near zero and not zero, where the two could round to
+    opposite sides of the tolerance, is left to the fixed cases below."""
+    order = [f"s{i}" for i in range(len(metrics))]
+    metrics = dict(zip(order, metrics))
+    top = max(metrics.values(), default=0) + lift
+    want = oracle_extras(metrics, top, r_i, order)
+    got = _extras(metrics, top, r_i, order)
+    assert list(got) == order
+    assert all(v >= 0 for v in got.values())
+    if all(isinstance(m, Fraction) for m in metrics.values()):
+        assert got == want
+    else:
+        total = sum(top - m for m in metrics.values())
+        assume(total == 0 or total > 1e-6)
+        assert got == pytest.approx(want)
+
+
+def test_extras_of_ten_equal_floats_split_evenly():
+    # ten 0.1s sum to 0.9999999999999999, so top * 10 - sum misses zero
+    tenths = {f"s{i}": 0.1 for i in range(10)}
+    assert 0.1 * 10 - sum(tenths.values()) != 0
+    assert _extras(tenths, 0.1, 7, list(tenths)) == dict.fromkeys(tenths, Fraction(7, 10))
+    assert _metric_budget(tenths, 7, list(tenths)) == oracle_uniform_split(7, list(tenths))
+
+
+def test_metric_budget_of_a_tiny_exact_distance_splits_in_proportion():
+    # an exact sum of distances of 1e-13 is not zero: b, below a, gets all
+    metrics = {"a": Fraction(1, 10**13), "b": 0}
+    assert _metric_budget(metrics, 10, ["a", "b"]) == {"a": 0, "b": 10}
 
 
 @settings(max_examples=300, deadline=None)
@@ -323,6 +371,7 @@ def test_largest_remainder_of_equal_shares_is_the_uniform_split(total, n):
 
 
 def test_traffic_volume_budget_of_an_empty_batch():
+    assert raw_traffic_volume(batch_of(), 10, [mkstream("s1")]) == {}
     assert budget_traffic_volume(batch_of(), 10, 5, [mkstream("s1")]) == {}
 
 
@@ -549,6 +598,5 @@ def test_raw_extras_sum_property():
         ]
         r_i = rng.randrange(0, 40)
         raws = raw_traffic_volume(batch_of(*streams), r_i, streams)
-        assert raws is not None
         assert all(v >= 0 for v in raws.values())
         assert sum(raws.values()) == r_i  # exact rationals
