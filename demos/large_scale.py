@@ -20,7 +20,8 @@ With `--json` the last line printed is one JSON object: the offline
 batch's `rejected`, `vertices`, `edges`, `routing_s`, `expansion_s` and
 `solving_s`; `validate_s` over all plans, `wall_s` and `peak_rss_mib`; and
 with updates the p50 and p90 of their `total_ms`, `solving_ms` and
-`routing_ms`:
+`routing_ms`, and of `validate_ms`, the oracle's time on each update's plan
+(`total_ms` leaves it out):
 
     python demos/large_scale.py --bridges 64 --streams 2000 --iterations 10 --json
 """
@@ -88,8 +89,11 @@ def main():
     updates = metrics[1:]
     if updates:
         last = updates[-1]
-        for name in ("total", "solving", "routing"):
-            ms = sorted(getattr(u, f"{name}_ms") for u in updates)
+        per_update = {name: [getattr(u, f"{name}_ms") for u in updates]
+                      for name in ("total", "solving", "routing")}
+        per_update["validate"] = validate_ms[1:]
+        for name, ms in per_update.items():
+            ms = sorted(ms)
             result[f"{name}_ms_p50"] = statistics.median(ms)
             # nearest-rank 90th percentile
             result[f"{name}_ms_p90"] = ms[max(0, -(-9 * len(ms) // 10) - 1)]

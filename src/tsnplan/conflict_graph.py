@@ -96,8 +96,9 @@ class Configuration(NamedTuple):
     """A stream sent on one of its candidate routes at one phase: a vertex of
     the graph, or a plan's entry. `schedule` is the phase-0 occupancy of
     (stream, route), shared by all its configurations; this one's intervals
-    are shifted by `phase`. A named tuple, immutable and hashable, because
-    expansion builds one per candidate vertex."""
+    are shifted by `phase`. An immutable, hashable named tuple: a plan holds
+    one per stream and `ConflictGraph.config` builds one per vertex asked
+    for, while expansion adds its vertices as plain tuples of these fields."""
 
     stream: Stream
     route_index: int
@@ -299,11 +300,11 @@ class ConflictGraph:
 
     # -- mutation ----------------------------------------------------------
 
-    def add_configuration(self, cfg: Configuration) -> int:
-        """Give the configuration a vid and queue it for the next join. A
-        live stream id keeps the stream it was first added with, and a
-        (stream id, route index) its route and schedule: another one raises
-        ValueError."""
+    def add_configuration(self, cfg: Configuration | tuple) -> int:
+        """Give the configuration, a `Configuration` or the plain tuple of
+        its fields, a vid and queue it for the next join. A live stream id
+        keeps the stream it was first added with, and a (stream id, route
+        index) its route and schedule: another one raises ValueError."""
         stream, route_index, route, phase, schedule = cfg
         code = self._color_code.get(stream.id)
         if code is None:
@@ -312,14 +313,19 @@ class ConflictGraph:
             self._colors[code] = (stream, {})
         known, routes = self._colors[code]
         if known is not stream and known != stream:
-            raise ValueError(f"{cfg.key}: stream {stream} differs from the added {known}")
+            raise ValueError(
+                f"{(stream.id, route_index, phase)}: stream {stream} differs from the added {known}"
+            )
         entry = routes.get(route_index)
         if entry is None:
             entry = routes[route_index] = (route, schedule, set())
         elif (entry[0] is not route or entry[1] is not schedule) and entry[:2] != (route, schedule):
-            raise ValueError(f"{cfg.key}: route {route} or its schedule differs from the added one")
+            raise ValueError(
+                f"{(stream.id, route_index, phase)}: route {route} or its schedule differs "
+                "from the added one"
+            )
         if phase in entry[2]:
-            raise DuplicateConfiguration(f"{cfg.key} already present")
+            raise DuplicateConfiguration(f"{(stream.id, route_index, phase)} already present")
         entry[2].add(phase)
         self._pending.extend((code, route_index, phase))
         vid = self._n

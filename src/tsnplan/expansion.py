@@ -20,7 +20,7 @@ from random import Random
 import numpy as np
 
 from . import timing
-from .conflict_graph import Configuration, ConflictGraph
+from .conflict_graph import ConflictGraph
 from .model import Network, Stream, StreamBatch, traffic_volume
 from .routing import Route
 
@@ -205,6 +205,8 @@ def raw_traffic_volume(batch: StreamBatch, r_i: int, all_streams: list[Stream]) 
     an MTU per shortest period, or a new stream's volume where one is
     larger, so that no extra is negative."""
     vols = {s.id: traffic_volume(s) for s in batch.add}
+    if not vols:
+        return {}
     top = max([Fraction(MTU, min(s.period for s in all_streams)), *vols.values()])
     return _extras(vols, top, r_i, list(vols))
 
@@ -220,8 +222,9 @@ def budget_traffic_volume(
 
 def _metric_budget(metrics: dict, r_i: int, order: list[str]) -> dict[str, int]:
     """The avg-degree and page-rank formulas (Eq. 2 and 3): the ceiling is
-    the hardest stream's metric."""
-    return _largest_remainder(_extras(metrics, max(metrics.values()), r_i, order), r_i, order)
+    the hardest stream's metric. No streams get no extras."""
+    top = max(metrics.values(), default=0)
+    return _largest_remainder(_extras(metrics, top, r_i, order), r_i, order)
 
 
 def stream_sums(
@@ -300,7 +303,7 @@ def expand(
             combos = randomized_enumeration(mps, budget, rng, placed)
         add = g.add_configuration
         for ri, phi in combos:
-            add(Configuration(stream, ri, rts[ri], phi, scheds[ri]))
+            add((stream, ri, rts[ri], phi, scheds[ri]))
         report.surplus[stream.id] = report.surplus.get(stream.id, 0) + budget - len(combos)
         return combos
 

@@ -17,6 +17,7 @@ memory scales with one color's arcs, not with the graph's.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from random import Random
@@ -25,7 +26,7 @@ import numpy as np
 
 from .conflict_graph import Configuration, ConflictGraph, _rows
 from .expansion import ExpansionParams, expand
-from .model import Network, Stream, StreamBatch, hypercycle
+from .model import MAX_PERIOD, Network, Stream, StreamBatch
 from .routing import Unreachable, candidate_routes
 from .timing import ORACLE_BOUND, OracleBoundExceeded, link_occupancy
 
@@ -241,53 +242,102 @@ def validate_plan(net: Network, plan: TrafficPlan) -> list[str]:
     repetitions can run past the hypercycle's end; they are folded back into
     it, so a late stream's collisions are reported along with its miss.
 
-    Raises OracleBoundExceeded, before building a link's intervals, when
-    they would number more than ORACLE_BOUND.
+    One sweep covers every link: each repetition is a row of int64 arrays,
+    the rows are sorted by (link, start, end, stream id), and each row is
+    compared with the next one on its link. Deadline misses come first, in
+    assignment order, then overlaps per link in order of the link's first
+    appearance.
+
+    Raises OracleBoundExceeded, before building any interval, when a link's
+    intervals would number more than ORACLE_BOUND. Each link's hypercycle and
+    interval count are computed exactly, with Python ints.
 
     Deliberately shares no logic with the pairwise conflict predicate.
     """
     problems: list[str] = []
-    per_link: dict[tuple[str, str], list[tuple[int, int, str, int]]] = {}
+    entries = []  # (link key, start, end) of every assignment, in order
+    hops, periods = [], []
     late = False
     for sid, cfg in plan.assignments.items():
-        stream = cfg.stream
-        sched = link_occupancy(net, stream, cfg.route, cfg.phase)
-        if sched.arrival > stream.period:
+        period = cfg.stream.period
+        sched = link_occupancy(net, cfg.stream, cfg.route, cfg.phase)
+        if sched.arrival > period:
             late = True
-            problems.append(
-                f"deadline miss: {sid} arrives at {sched.arrival} > {stream.period}"
-            )
-        for key, s, e in sched.entries:
-            per_link.setdefault(key, []).append((s, e, sid, stream.period))
-    for key, entries in per_link.items():
-        h = hypercycle(period for _, _, _, period in entries)
-        count = sum(h // period for _, _, _, period in entries)
-        if count > ORACLE_BOUND:
+            problems.append(f"deadline miss: {sid} arrives at {sched.arrival} > {period}")
+        entries += sched.entries
+        hops.append(len(sched.entries))
+        periods.append(period)
+    if not entries:
+        return problems
+    keys, start, end = zip(*entries)
+    codes = dict.fromkeys(keys)  # a link's code is its rank of first appearance
+    for code, key in enumerate(codes):
+        codes[key] = code
+    link = np.array([codes[key] for key in keys])
+    period = np.repeat(periods, hops)
+    names = sorted(plan.assignments)  # a stream's code is its rank in here
+    rank = {sid: r for r, sid in enumerate(names)}
+    who = np.repeat([rank[sid] for sid in plan.assignments], hops)
+
+    # each link's distinct periods, and how many of its entries have each
+    pair, mult = np.unique(link * MAX_PERIOD + period, return_counts=True)
+    pairs = list(zip(*(a.tolist() for a in np.divmod(pair, MAX_PERIOD)), mult.tolist()))
+    hyper = [1] * len(codes)
+    for code, p, _ in pairs:
+        hyper[code] = math.lcm(hyper[code], p)
+    count = [0] * len(codes)
+    for code, p, m in pairs:
+        count[code] += hyper[code] // p * m
+    for key, code in codes.items():
+        if count[code] > ORACLE_BOUND:
             raise OracleBoundExceeded(
-                f"link {key}: {count} intervals over hypercycle {h} exceed "
-                f"oracle bound {ORACLE_BOUND}"
+                f"link {key}: {count[code]} intervals over hypercycle {hyper[code]} "
+                f"exceed oracle bound {ORACLE_BOUND}"
             )
-        intervals = [
-            (s + off, e + off, sid)
-            for s, e, sid, period in entries
-            for off in range(0, h, period)
-        ]
-        if late:  # fold each interval into [0, h), splitting one that crosses h
-            folded = []
-            for s, e, sid in intervals:
-                s0 = s % h
-                e0 = s0 + e - s
-                folded.append((s0, min(e0, h), sid))
-                if e0 > h:
-                    folded.append((0, e0 - h, sid))
-            intervals = folded
-        intervals.sort()
-        for (s1, e1, id1), (s2, e2, id2) in zip(intervals, intervals[1:]):
-            if s2 < e1:
-                problems.append(
-                    f"overlap on link {key}: {id1} and {id2} "
-                    f"both occupy ticks [{s2}, {min(e1, e2)})"
-                )
+
+    h = np.array(hyper)[link]
+    if late:  # a late start can be any int: fold it into [0, h) to fit an int64
+        folded = [s % q for s, q in zip(start, h.tolist())]
+        end = [f + e - s for f, s, e in zip(folded, start, end)]
+        start = folded
+    # entry i repeated h // period times, each repetition one period later
+    reps = h // period
+    entry = np.arange(len(reps)).repeat(reps)
+    off = np.arange(len(entry)) - (reps.cumsum() - reps)[entry]
+    off *= period[entry]
+    start = np.array(start)[entry] + off
+    end = np.array(end)[entry] + off
+    link, who = link[entry], who[entry]
+    if late:  # fold each interval into [0, h), splitting one that crosses h
+        h = h[entry]
+        end -= start
+        start %= h
+        end += start
+        cross = np.flatnonzero(end > h)
+        link = np.concatenate((link, link[cross]))
+        who = np.concatenate((who, who[cross]))
+        start = np.concatenate((start, np.zeros_like(cross)))
+        end = np.concatenate((np.minimum(end, h), end[cross] - h[cross]))
+
+    # sorted by (link, start, end, stream), on one int64 key where they fit
+    dur = end - start
+    span = (len(codes), int(start.max()) + 1, int(dur.max()) + 1, len(names))
+    if math.prod(span) <= 2**63:
+        packed = ((link * span[1] + start) * span[2] + dur) * span[3] + who
+        order = packed.argsort(kind="stable")
+    else:
+        order = np.lexsort((who, end, start, link))
+    link, start, end, who = link[order], start[order], end[order], who[order]
+    hit = np.flatnonzero((link[1:] == link[:-1]) & (start[1:] < end[:-1]))
+    link_keys = list(codes)
+    for code, id1, id2, s2, e in zip(
+        link[hit].tolist(), who[hit].tolist(), who[hit + 1].tolist(),
+        start[hit + 1].tolist(), np.minimum(end[hit], end[hit + 1]).tolist(),
+    ):
+        problems.append(
+            f"overlap on link {link_keys[code]}: {names[id1]} and {names[id2]} "
+            f"both occupy ticks [{s2}, {e})"
+        )
     return problems
 
 

@@ -6,12 +6,18 @@ route a{i} -> z{j} crosses the directed link (b0, b1), so conflicts between
 streams can be dialed in exactly by choosing sizes and phases.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from tsnplan.conflict_graph import Configuration
 from tsnplan.model import BRIDGE, END_DEVICE, Link, Network, Node, Stream
 from tsnplan.routing import Route
 from tsnplan.timing import link_occupancy
+
+EPISODE = Path(__file__).resolve().parents[1] / "perfbench" / "episode.py"
 
 
 def shared_link_net(n_pairs: int = 4, rate: int = 1000, prop: int = 1,
@@ -56,6 +62,21 @@ def chain_route(net: Network, n_bridges: int = 2) -> Route:
 def mkstream(sid: str, period: int = 100, size: int = 500, src: str = "a0",
              dst: str = "z0") -> Stream:
     return Stream(id=sid, src=src, dst=dst, period=period, size=size)
+
+
+@pytest.fixture(scope="session")
+def episode():
+    """perfbench/episode.py as a module, imported without changes; the
+    benchmark directory it puts on sys.path for its own imports is taken off
+    again."""
+    path = list(sys.path)
+    spec = importlib.util.spec_from_file_location("perfbench_episode", EPISODE)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
 
 
 @pytest.fixture

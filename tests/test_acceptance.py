@@ -310,9 +310,8 @@ def test_criterion_08_budget_formula_properties():
 
         # Eq. 1 raw extras: exact rationals
         raws = raw_traffic_volume(batch, r_i, streams)
-        if raws is not None:
-            assert all(v >= 0 for v in raws.values())
-            assert sum(raws.values()) == r_i
+        assert all(v >= 0 for v in raws.values())
+        assert sum(raws.values()) == r_i
 
         # Eq. 2 / Eq. 3 shape: extras proportional to distance below the
         # hardest stream's metric, nonnegative, integerized sum preserved

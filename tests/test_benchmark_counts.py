@@ -10,16 +10,11 @@ memory per pass and the solver's memory per solve are pinned on the same
 episodes.
 """
 
-import importlib.util
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
 from tsnplan import conflict_graph, solver
-
-EPISODE = Path(__file__).resolve().parents[1] / "perfbench" / "episode.py"
 
 #: (workload, seed) -> (batches, offered, rejected, vertices, edges, slots,
 #: plan SHA-256)
@@ -49,20 +44,6 @@ PASS_PEAK_BYTES = int(0.82 * 2**20)
 #: each color's neighbour rows gathered at its own step; gathering every
 #: color's rows before the first step took 5.18 MiB.
 SOLVE_PEAK_BYTES = int(1.5 * 2**20)
-
-
-@pytest.fixture(scope="module")
-def episode():
-    """perfbench/episode.py as a module; the benchmark directory it puts on
-    sys.path for its own imports is taken off again."""
-    path = list(sys.path)
-    spec = importlib.util.spec_from_file_location("perfbench_episode", EPISODE)
-    module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = path
-    return module
 
 
 @pytest.mark.parametrize("workload, seed", list(COUNTS), ids=[f"{w}-seed{s}" for w, s in COUNTS])

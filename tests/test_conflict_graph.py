@@ -160,6 +160,17 @@ def test_duplicate_configuration_raises(shared_net):
         g.add_configuration(cfg(shared_net, "s0", 0, 0))
 
 
+def test_a_plain_tuple_adds_the_same_vertex(shared_net):
+    """`add_configuration` takes the plain tuple of a configuration's fields,
+    as expansion passes it, and names its key in an error."""
+    g = ConflictGraph()
+    c = cfg(shared_net, "s0", 0, 0)
+    v = g.add_configuration(tuple(c))
+    assert g.config(v) == c
+    with pytest.raises(DuplicateConfiguration, match=r"\('s0', 0, 0\) already present"):
+        g.add_configuration(c)
+
+
 def test_a_stream_or_route_other_than_the_added_one_raises():
     """A live stream id keeps the stream it was first added with, and a
     (stream id, route index) its route and schedule: another one raises

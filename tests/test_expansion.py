@@ -375,6 +375,23 @@ def test_traffic_volume_budget_of_an_empty_batch():
     assert budget_traffic_volume(batch_of(), 10, 5, [mkstream("s1")]) == {}
 
 
+@pytest.mark.parametrize("budget", [
+    lambda b, g: budget_homogeneous(b, 10, g),
+    lambda b, g: budget_traffic_volume(b, 10, 5, []),
+    lambda b, g: budget_avg_degree(b, 10, g),
+    lambda b, g: budget_page_rank(b, 10, g),
+], ids=["homogeneous", "traffic-volume", "avg-degree", "page-rank"])
+def test_every_strategy_budgets_an_empty_batch_to_nothing(budget):
+    """With no new streams, and no live streams for traffic volume's
+    ceiling, each strategy returns no budgets, on an empty graph and on one
+    with vertices."""
+    g = ConflictGraph()
+    assert budget(batch_of(), g) == {}
+    net = shared_link_net(n_pairs=2)
+    g.add_configuration(build_config(net, mkstream("old"), 0, through_route(net, 0), 0))
+    assert budget(batch_of(), g) == {}
+
+
 def test_largest_remainder_ties_go_to_earlier_streams():
     thirds = {sid: Fraction(2, 3) for sid in "abc"}
     assert _largest_remainder(thirds, 2, list("abc")) == {"a": 1, "b": 1, "c": 0}
@@ -535,7 +552,8 @@ def test_expand_adds_each_vertex_with_one_add_configuration_call(monkeypatch, st
     calls = []
 
     def counted(g, cfg):
-        calls.append(cfg.key)
+        stream, route_index, _, phase, _ = cfg
+        calls.append((stream.id, route_index, phase))
         return real(g, cfg)
 
     monkeypatch.setattr(ConflictGraph, "add_configuration", counted)

@@ -21,7 +21,7 @@ from tsnplan.harness import (
     plan_to_dict,
 )
 from tsnplan.model import END_DEVICE, Network, Node, Stream, StreamBatch, hypercycle
-from tsnplan.routing import shortest_path
+from tsnplan.routing import Route, shortest_path
 from tsnplan.solver import (
     Planner,
     RequiredColorUnsatisfiable,
@@ -393,6 +393,40 @@ def test_validate_plan_refuses_a_link_past_the_oracle_bound():
     with pytest.raises(OracleBoundExceeded, match=bound):
         validate_plan(net, plan)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_validate_plan_names_the_exact_hypercycle_past_int64():
+    # three periods near 2**31 on (b0, b1): their hypercycle, about 9.9e27,
+    # does not fit in an int64
+    net = shared_link_net()
+    periods = (2147483647, 2147483629, 2147483587)
+    plan = TrafficPlan(0, {
+        f"s{i}": cfg(net, f"s{i}", i, 0, period=period, size=125)
+        for i, period in enumerate(periods)
+    })
+    h = 9903519940736477367306812281
+    assert hypercycle(periods) == h > 2**63
+    count = sum(h // p for p in periods)
+    bound = rf"link \('b0', 'b1'\): {count} intervals over hypercycle {h} exceed"
+    with pytest.raises(OracleBoundExceeded, match=bound):
+        validate_plan(net, plan)
+
+
+def test_validate_plan_judges_an_entry_by_its_own_route():
+    # x runs a0 -> z0 but carries the schedule of a1 -> z1, which never
+    # crosses (b1, z0); y's z1 -> b1 -> z0 meets x there only
+    net = shared_link_net()
+    x = mkstream("x")
+    wrong = link_occupancy(net, x, through_route(net, 1), 0)
+    y = mkstream("y", src="z1", dst="z0")
+    y_route = Route((net.link("z1", "b1"), net.link("b1", "z0")))
+    plan = TrafficPlan(0, {
+        "x": Configuration(x, 0, through_route(net, 0), 0, wrong),
+        "y": build_config(net, y, 0, y_route, 6),
+    })
+    assert validate_plan(net, plan) == [
+        "overlap on link ('b1', 'z0'): x and y both occupy ticks [11, 14)",
+    ]
 
 
 def test_validate_plan_reports_deadline_miss():
