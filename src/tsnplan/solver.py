@@ -249,8 +249,10 @@ def validate_plan(net: Network, plan: TrafficPlan) -> list[str]:
     appearance.
 
     Raises OracleBoundExceeded, before building any interval, when a link's
-    intervals would number more than ORACLE_BOUND. Each link's hypercycle and
-    interval count are computed exactly, with Python ints.
+    intervals would number more than ORACLE_BOUND, or when a late frame,
+    folded into its link's hypercycle, would end past tick 2**62. Each
+    link's hypercycle and interval count are computed exactly, with Python
+    ints.
 
     Deliberately shares no logic with the pairwise conflict predicate.
     """
@@ -269,11 +271,12 @@ def validate_plan(net: Network, plan: TrafficPlan) -> list[str]:
         periods.append(period)
     if not entries:
         return problems
-    keys, start, end = zip(*entries)
-    codes = dict.fromkeys(keys)  # a link's code is its rank of first appearance
-    for code, key in enumerate(codes):
-        codes[key] = code
-    link = np.array([codes[key] for key in keys])
+    keys = [key for key, _, _ in entries]
+    start = [s for _, s, _ in entries]
+    end = [e for _, _, e in entries]
+    # a link's code is its rank of first appearance
+    codes = {key: code for code, key in enumerate(dict.fromkeys(keys))}
+    link = np.array(list(map(codes.__getitem__, keys)))
     period = np.repeat(periods, hops)
     names = sorted(plan.assignments)  # a stream's code is its rank in here
     rank = {sid: r for r, sid in enumerate(names)}
@@ -300,6 +303,8 @@ def validate_plan(net: Network, plan: TrafficPlan) -> list[str]:
         folded = [s % q for s, q in zip(start, h.tolist())]
         end = [f + e - s for f, s, e in zip(folded, start, end)]
         start = folded
+        if max(end) >= 2**62:  # a frame of a plan file's size can be that long
+            raise OracleBoundExceeded(f"a late frame ends at tick {max(end)} past 2**62")
     # entry i repeated h // period times, each repetition one period later
     reps = h // period
     entry = np.arange(len(reps)).repeat(reps)
@@ -319,12 +324,13 @@ def validate_plan(net: Network, plan: TrafficPlan) -> list[str]:
         start = np.concatenate((start, np.zeros_like(cross)))
         end = np.concatenate((np.minimum(end, h), end[cross] - h[cross]))
 
-    # sorted by (link, start, end, stream), on one int64 key where they fit
+    # sorted by (link, start, end, stream), on one int64 key where they fit;
+    # rows of equal key are equal, so their order does not matter
     dur = end - start
     span = (len(codes), int(start.max()) + 1, int(dur.max()) + 1, len(names))
     if math.prod(span) <= 2**63:
         packed = ((link * span[1] + start) * span[2] + dur) * span[3] + who
-        order = packed.argsort(kind="stable")
+        order = packed.argsort()
     else:
         order = np.lexsort((who, end, start, link))
     link, start, end, who = link[order], start[order], end[order], who[order]

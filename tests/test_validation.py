@@ -161,6 +161,15 @@ def test_validate_plan_folds_a_start_past_int64():
     ]
 
 
+def test_validate_plan_refuses_a_frame_past_int64_ticks():
+    """A plan file may give any size: 10**21 bytes hold a link for 8e18
+    ticks, more than an int64 can add its repetitions to."""
+    s = Stream("s0", "a0", "z0", 100, 10**21)
+    plan = TrafficPlan(0, {"s0": build_config(NET, s, 0, through_route(NET, 0), 0)})
+    with pytest.raises(OracleBoundExceeded, match=r"ends at tick \d+ past 2\*\*62"):
+        validate_plan(NET, plan)
+
+
 def wide_plan(size):
     """Periods 499 m and 501 m, m = 4,286,394, on (b0, b1): a hypercycle of
     about 1.07e12 ticks and 1,000 intervals there. s2 repeats s0, so the
