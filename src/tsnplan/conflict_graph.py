@@ -97,7 +97,7 @@ class Configuration(NamedTuple):
     the graph, or a plan's entry. `schedule` is the phase-0 occupancy of
     (stream, route), shared by all its configurations; this one's intervals
     are shifted by `phase`. An immutable, hashable named tuple: a plan holds
-    one per stream and `ConflictGraph.config` builds one per vertex asked
+    one per stream and `ConflictGraph.configs` builds one per vertex asked
     for, while expansion adds its vertices as plain tuples of these fields."""
 
     stream: Stream
@@ -293,10 +293,18 @@ class ConflictGraph:
         return index[at], self._column("route"), self._column("phase")
 
     def config(self, vid: int) -> Configuration:
-        color, route_index, phase = (int(self._column(name)[vid]) for name in _VERTEX_COLUMNS)
-        stream, routes = self._colors[color]
-        route, schedule = routes[route_index][:2]
-        return Configuration(stream, route_index, route, phase, schedule)
+        return self.configs([vid])[0]
+
+    def configs(self, vids: list[int]) -> list[Configuration]:
+        """The configuration of each vertex in `vids`, in order, with each
+        column gathered once."""
+        out = []
+        rows = (self._column(name)[vids].tolist() for name in _VERTEX_COLUMNS)
+        for color, route_index, phase in zip(*rows):
+            stream, routes = self._colors[color]
+            route, schedule = routes[route_index][:2]
+            out.append(Configuration(stream, route_index, route, phase, schedule))
+        return out
 
     # -- mutation ----------------------------------------------------------
 

@@ -11,14 +11,23 @@ integer node ids numbered in sorted node-name order, so comparing id
 sequences compares name sequences, and works in two steps:
 
 1. Reverse distance: the cost from each node to the destination.
-   - Unit costs: one vectorised min-plus relaxation over the bridges'
-     out-links lowers each bridge's distance to one plus its least
-     successor distance, until no distance falls; then every distance D is
-     exact. The destination stays at 0 and no other end device gets a
-     distance, so none is ever interior. D depends on the destination
-     alone, so one relaxation serves every stream of a batch that shares
-     it. Next to D, each node's count of tight out-links u -> v, those with
-     D[v] + 1 = D[u], is kept.
+   - Unit costs: a level-synchronous breadth-first search from all of a
+     batch's destinations at once, whose levels are matrix products (Kepner
+     and Gilbert, 2011). Level 0 holds each destination; a bridge with no
+     distance yet takes distance L + 1 when one of its out-links leads into
+     level L. One float32 product of the bridges' 0/1 out-link matrix with
+     the 0/1 (node x destination) frontier of level L gives, for every
+     bridge and destination, its count of out-links into level L: the
+     bridges with a nonzero count form level L + 1, and for them that count
+     is the number of tight out-links u -> v, those with D[v] + 1 = D[u].
+     The counts are integers at most a bridge's out-degree, so while the
+     network has fewer than 2**24 nodes float32 holds every partial sum
+     exactly, whatever order BLAS adds in. The destination stays at 0 and
+     no other end device gets a distance, so none is ever interior. D
+     depends on the destination alone, so one search serves every stream
+     of a batch that shares it; each destination's D and tight counts
+     become one Python list each, once per batch, which the first walk
+     reads without a copy.
    - Penalised costs repair D (Ramalingam and Reps, 1996). A cost that
      rises lowers no distance, and a node keeps its D while it keeps a
      tight out-link that is unpenalised and leads to a node that keeps its
@@ -27,15 +36,16 @@ sequences compares name sequences, and works in two steps:
      the penalised tight links' tails and then, from each affected node,
      those of its tight predecessors. Unaffected nodes keep an exact D; one
      Dijkstra over the affected nodes alone, seeded with each one's least
-     cost through an unaffected successor, makes theirs exact too.
+     cost through an unaffected successor, makes theirs exact too. A repair
+     starts from a copy of the destination's list.
    - A link that every route crosses, the source's only out-link or the
      destination's only in-link, adds the same cost to every route and so
      is never penalised: in both the repair and the walk it costs 1.
      Penalised, it would affect every node behind it.
-2. Forward walk: the source's distance is the least over its own
-   out-links; from the source, repeatedly take the out-link to the smallest
-   node id that is tight, i.e. whose distance plus the link's cost equals
-   the current node's distance.
+2. Forward walk: the source's distance, kept in a local apart from the
+   list, is the least over its own out-links; from the source, repeatedly
+   take the out-link to the smallest node id that is tight, i.e. whose
+   distance plus the link's cost equals the current node's distance.
 
 The walk yields the smallest sequence because every suffix of a min-cost
 route is a min-cost route from its first node, and with positive link
@@ -99,9 +109,10 @@ class _Index:
     Node ids follow sorted node names. `out_dst[out_ptr[u]:out_ptr[u + 1]]`
     are the ends of u's out-links in ascending order. Link u -> v is known
     by its code u * n + v, n the node count, and `into[v]` lists the tails of
-    all links into v. The bridges' out-links are also kept as flat numpy
-    columns in ascending code order: `src` and `dst`, with `starts[i]` the
-    first link of bridge `rows[i]`. Links to or from unknown nodes are left
+    all links into v. The bridges' out-links are also kept as `out`, a
+    float32 0/1 matrix with one row per bridge, `rows[i]` the id of row i's
+    bridge, and one column per node: 128 x 256 x 4 bytes = 128 KiB for 128
+    bridges with one device each. Links to or from unknown nodes are left
     out.
     """
 
@@ -111,7 +122,7 @@ class _Index:
         n = len(self.names)
         self.out_ptr = [0]
         self.out_dst: list[int] = []
-        rows, src, dst = [], [], []
+        rows = []
         self.into: list[list[int]] = [[] for _ in range(n)]
         for u, name in enumerate(self.names):
             for link in net.out_links(name):  # sorted by destination name
@@ -119,17 +130,13 @@ class _Index:
                 if v is not None:
                     self.out_dst.append(v)
                     self.into[v].append(u)
-            a, b = self.out_ptr[-1], len(self.out_dst)
-            self.out_ptr.append(b)
-            if net.nodes[name].kind == BRIDGE and b > a:
+            self.out_ptr.append(len(self.out_dst))
+            if net.nodes[name].kind == BRIDGE:
                 rows.append(u)
-                src.extend([u] * (b - a))
-                dst.extend(self.out_dst[a:b])
         self.rows = np.array(rows, dtype=np.intp)
-        self.src = np.array(src, dtype=np.intp)
-        self.dst = np.array(dst, dtype=np.intp)
-        counts = np.diff(np.array(self.out_ptr, dtype=np.intp))[self.rows]
-        self.starts = np.cumsum(counts) - counts
+        self.out = np.zeros((len(rows), n), dtype=np.float32)
+        for i, u in enumerate(rows):
+            self.out[i, self.out_dst[self.out_ptr[u] : self.out_ptr[u + 1]]] = 1
 
     def link_codes(self, path: tuple[int, ...]) -> list[int]:
         n = len(self.names)
@@ -154,30 +161,50 @@ def _ends(ix: _Index, src: str, dst: str) -> tuple[int, int]:
     return s, d
 
 
-def _relax(ix: _Index, d: int) -> np.ndarray:
-    """Step 1 for unit costs, run until no distance falls. Row 0 holds each
-    node's reverse distance D to node d, row 1 its count of tight out-links."""
-    rev = np.full((2, len(ix.names)), _FAR, dtype=np.int64)
-    dist = rev[0]
-    dist[d] = 0
-    # every distance is below _FAR + 1 < 2**63, so int64 is exact; best >= 1
-    # keeps a bridge dst at 0
+def _relax(ix: _Index, dests: list[int]) -> list[tuple[list[int], list[int]]]:
+    """Step 1 for unit costs from every node id in `dests` at once: for each,
+    in order, the list of each node's reverse distance D and the list of its
+    count of tight out-links."""
+    n, m = len(ix.names), len(dests)
+    rows = ix.rows
+    # (bridge, destination) cells: D, a tight count and whether D is unknown;
+    # a bridge destination keeps 0
+    dist = np.full((len(rows), m), _FAR, dtype=np.int64)
+    count = np.zeros((len(rows), m), dtype=np.float32)
+    unseen = rows[:, None] != np.array(dests, dtype=np.intp)
+    # each bridge's count of out-links into the last level, exact in float32
+    # (module docstring): level 0 holds the destinations alone, so its
+    # product with `out` is a column gather, and later levels hold bridges
+    # alone, so theirs need only the bridges' columns
+    tight = ix.out[:, dests]
+    between = ix.out[:, rows]
+    level = 0
     while True:
-        best = np.minimum.reduceat(dist[ix.dst], ix.starts) + 1
-        cur = dist[ix.rows]
-        if not (best < cur).any():
+        new = (tight > 0) & unseen
+        if not new.any():
             break
-        dist[ix.rows] = np.minimum(cur, best)
-    tight = dist[ix.dst] + 1 == dist[ix.src]
-    rev[1] = np.bincount(ix.src[tight], minlength=len(ix.names))
-    return rev
+        level += 1
+        unseen &= ~new
+        dist[new] = level
+        np.copyto(count, tight, where=new)
+        tight = between @ new.astype(np.float32)
+    # one row per destination, filled with one shared _FAR int: the end
+    # devices' entries refer to it, so freeing a batch's lists frees few ints
+    full = np.full((m, n), _FAR, dtype=object)
+    full[:, rows] = dist.T
+    full[np.arange(m), dests] = 0
+    counts = np.zeros((m, n), dtype=np.int64)
+    counts[:, rows] = count.T
+    return list(zip(full.tolist(), counts.tolist()))
 
 
-def _repair(ix: _Index, rev: np.ndarray, penalized: set[int]) -> list[int]:
-    """Step 1 for penalized costs: a fresh list of `rev`'s distances (see
-    `_relax`) with those of the affected nodes recomputed."""
+def _repair(
+    ix: _Index, rev: tuple[list[int], list[int]], penalized: set[int]
+) -> list[int]:
+    """Step 1 for penalized costs: a copy of `rev`'s distances (see `_relax`)
+    with those of the affected nodes recomputed."""
     n = len(ix.names)
-    dist, count = rev[0].tolist(), rev[1]
+    dist, count = rev[0].copy(), rev[1]
     lost: dict[int, int] = {}
     affected: list[int] = []
     # a node is affected once it has lost each tight out-link, to the penalty
@@ -215,24 +242,26 @@ def _repair(ix: _Index, rev: np.ndarray, penalized: set[int]) -> list[int]:
 def _walk(
     ix: _Index, s: int, d: int, dist: list[int], penalized: set[int]
 ) -> tuple[int, ...]:
-    """Step 2 from s over `dist`, a fresh list the walk may change at s."""
+    """Step 2 from s over `dist`, which the walk reads and does not change."""
     n = len(ix.names)
     out_ptr, out_dst = ix.out_ptr, ix.out_dst
+    ds = dist[s]
     for v in out_dst[out_ptr[s] : out_ptr[s + 1]]:
         c = PENALTY_WEIGHT if s * n + v in penalized else 1
-        if dist[v] + c < dist[s]:
-            dist[s] = dist[v] + c
-    if dist[s] >= _FAR:
+        if dist[v] + c < ds:
+            ds = dist[v] + c
+    if ds >= _FAR:
         raise Unreachable(f"no route from {ix.names[s]!r} to {ix.names[d]!r}")
 
     path = [s]
-    v = s
+    v, dv = s, ds
     while v != d:
         base = v * n
         for nxt in out_dst[out_ptr[v] : out_ptr[v + 1]]:
-            if dist[nxt] + (PENALTY_WEIGHT if base + nxt in penalized else 1) == dist[v]:
+            dn = dist[nxt]
+            if dn + (PENALTY_WEIGHT if base + nxt in penalized else 1) == dv:
                 path.append(nxt)
-                v = nxt
+                v, dv = nxt, dn
                 break
         else:
             raise RuntimeError(
@@ -252,10 +281,12 @@ def candidate_routes(
     """Up to k distinct routes, later ones penalized away from earlier ones.
 
     The first route walks its destination's converged unit-cost reverse
-    distance, read from `reverse` (destination node id -> `_relax`'s int64
-    array) or relaxed and stored there; later routes walk a repair of it.
-    One dict passed to every call of a batch relaxes each destination once;
-    its distances hold for `net` alone.
+    distance, read from `reverse` (destination name -> `_relax`'s pair of
+    lists for it, or None until relaxed). On a miss, every listed
+    destination still None that names a node of `net` is relaxed in one
+    batch with this one, and stored. One dict passed to every call of a
+    batch, listing the batch's destinations, relaxes them all once; its
+    distances hold for `net` alone.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -263,10 +294,13 @@ def candidate_routes(
     s, d = _ends(ix, src, dst)
     if reverse is None:
         reverse = {}
-    rev = reverse.get(d)
+    rev = reverse.get(dst)
     if rev is None:
-        rev = reverse[d] = _relax(ix, d)
-    found = [_walk(ix, s, d, rev[0].tolist(), set())]
+        todo = [x for x, r in reverse.items() if r is None and x in ix.id and x != dst]
+        todo.append(dst)
+        reverse.update(zip(todo, _relax(ix, [ix.id[x] for x in todo])))
+        rev = reverse[dst]
+    found = [_walk(ix, s, d, rev[0], set())]
     # links that every route crosses stay unpenalized (module docstring)
     n, first, into_d = len(ix.names), ix.out_ptr[s], ix.into[d]
     crossed = {into_d[0] * n + d} if len(into_d) == 1 else set()

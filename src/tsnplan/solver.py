@@ -373,7 +373,9 @@ class Planner:
         # is rejected on its own and takes no share of the budget
         t_route = time.perf_counter()
         routes = {}
-        reverse = {}  # each destination's reverse distance, for this batch only
+        # the batch's destinations, relaxed together by the first search; each
+        # one's reverse distance lives for this batch only
+        reverse = dict.fromkeys(s.dst for s in batch.add)
         for s in batch.add:
             try:
                 routes[s.id] = candidate_routes(
@@ -408,10 +410,12 @@ class Planner:
         selection, rejected = choose_plan(defensive, offensive)
         # a survivor the plan keeps on its pinned vertex keeps its configuration
         pinned = defensive[0]
-        assignments = {
-            sid: survivors[sid] if sid in survivors and vid == pinned[sid] else g.config(vid)
-            for sid, vid in selection.items()
+        fresh = {
+            sid: vid for sid, vid in selection.items()
+            if sid not in survivors or vid != pinned[sid]
         }
+        fresh = dict(zip(fresh, g.configs(list(fresh.values()))))
+        assignments = {sid: fresh.get(sid) or survivors[sid] for sid in selection}
         solving_s = time.perf_counter() - t_solve
 
         g.remove_streams(rejected)

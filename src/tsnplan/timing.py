@@ -45,16 +45,19 @@ def link_occupancy(
     and processed; only interior bridges add processing delay."""
     if phase < 0:
         raise ValueError("phase must be >= 0")
+    nodes, size = net.nodes, stream.size
     entries = []
     t = phase
     last = len(route.links) - 1
     for i, link in enumerate(route.links):
-        end = t + transmission_time(stream.size, link.rate)
-        entries.append((link.key, t, end))
-        arrival = end + link.propagation_delay
+        src, dst, rate = link.src, link.dst, link.rate
+        if size <= 0 or rate <= 0:
+            raise ValueError("size and rate must be > 0")
+        end = t - (-size * 8 // rate)  # transmission_time, inline
+        entries.append(((src, dst), t, end))
+        t = end + link.propagation_delay
         if i < last:
-            arrival += net.node(link.dst).processing_delay
-        t = arrival
+            t += nodes[dst].processing_delay
     return OccupancySchedule(tuple(entries), t)
 
 

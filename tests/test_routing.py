@@ -6,6 +6,8 @@ from collections import Counter
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsnplan import routing, solver
 from tsnplan.expansion import ExpansionParams
@@ -27,7 +29,7 @@ from tsnplan.routing import (
 )
 
 from conftest import chain_net, chain_route
-from routing_oracle import _dijkstra, oracle_candidate_routes
+from routing_oracle import _dijkstra, oracle_candidate_routes, reference_relax
 
 
 def test_ring_tie_break_is_lexicographic():
@@ -196,7 +198,7 @@ def test_search_waits_for_a_long_route_that_ties_a_penalized_shortcut(penalized)
     ix = _index(net)
     a, z = ix.id["a"], ix.id["z"]
     codes = {ix.id[u] * len(ix.names) + ix.id[v] for u, v in penalized}
-    path = _walk(ix, a, z, _repair(ix, _relax(ix, z), codes), codes)
+    path = _walk(ix, a, z, _repair(ix, _relax(ix, [z])[0], codes), codes)
     want = _dijkstra(net, "a", "z", dict.fromkeys(penalized, PENALTY_WEIGHT))
     assert tuple(ix.names[x] for x in path) == want.nodes == ("a", *chain, "z")
 
@@ -214,8 +216,8 @@ def test_repair_raises_every_distance_behind_a_penalized_cut_link():
     net = cut_link_net()
     ix = _index(net)
     n, d6 = len(ix.names), ix.id["d6"]
-    rev = _relax(ix, d6)
-    unit = rev[0].tolist()
+    rev = _relax(ix, [d6])[0]
+    unit = rev[0]
     got = _repair(ix, rev, {ix.id["b3"] * n + ix.id["b4"]})
     behind = {ix.id[f"b{i}"] for i in range(4)}
     assert [got[x] - unit[x] for x in sorted(behind)] == [PENALTY_WEIGHT - 1] * 4
@@ -355,49 +357,73 @@ def test_a_batch_of_streams_sharing_destinations_matches_the_oracle(monkeypatch,
     assert unroutable > 0 if name == "one-way-ring5" else unroutable == 0
 
 
-def test_an_unknown_destination_rejects_only_its_stream(monkeypatch):
+def assert_unknown_destination_rejects_only_its_stream(monkeypatch, at):
+    """The batch lists the unknown destination with the others; the search
+    that relaxes them skips it."""
     net = gen_ring(6)
-    pairs = [("d0", "d3"), ("d1", "nowhere"), ("d2", "d3"), ("d4", "d0")]
+    pairs = [("d0", "d3"), ("d2", "d3"), ("d4", "d0")]
+    pairs.insert(at, ("d1", "nowhere"))
     routes, metrics = routes_of_one_batch(monkeypatch, net, pairs, 2)
-    assert routes["s1"] is None and metrics.rejected == 1
+    assert routes[f"s{at}"] is None and metrics.rejected == 1
     for sid, (src, dst) in zip(routes, pairs):
-        if sid != "s1":
+        if sid != f"s{at}":
             want = oracle_candidate_routes(net, src, dst, 2)
             assert [r.links for r in routes[sid]] == [r.links for r in want]
 
 
+def test_an_unknown_destination_rejects_only_its_stream(monkeypatch):
+    assert_unknown_destination_rejects_only_its_stream(monkeypatch, 1)
+
+
+@pytest.mark.parametrize("at", [0, 3])
+def test_an_unknown_destination_first_or_last_rejects_only_its_stream(monkeypatch, at):
+    assert_unknown_destination_rejects_only_its_stream(monkeypatch, at)
+
+
 def test_no_reverse_distance_outlives_its_batch(monkeypatch):
-    """Each batch starts from no distances, relaxes each destination once,
-    and has freed every distance before expansion starts."""
+    """Each batch lists its own destinations and no distances, relaxes them
+    at its first search, and has freed every distance before expansion
+    starts."""
     net = gen_waxman(40, seed=1)
     ends = net.end_devices()
-    alive, sizes = [], []
+    alive, listed = [], []
     real_candidate_routes, real_expand = solver.candidate_routes, solver.expand
+    real_relax = routing._relax
+
+    class Dist(list):  # a list that a weak reference can follow
+        pass
 
     def candidate_routes(net, src, dst, k, reverse):
-        sizes.append(len(reverse))
-        try:
-            return real_candidate_routes(net, src, dst, k, reverse=reverse)
-        finally:
-            alive.extend(weakref.ref(dist) for dist in reverse.values())
+        listed.append({x: r is None for x, r in reverse.items()})
+        return real_candidate_routes(net, src, dst, k, reverse=reverse)
+
+    def relax(ix, dests):
+        rev = [(Dist(dist), count) for dist, count in real_relax(ix, dests)]
+        alive.extend(weakref.ref(dist) for dist, _ in rev)
+        return rev
 
     def expand(*args):
         assert all(ref() is None for ref in alive)
         return real_expand(*args)
 
     monkeypatch.setattr(solver, "candidate_routes", candidate_routes)
+    monkeypatch.setattr(routing, "_relax", relax)
     monkeypatch.setattr(solver, "expand", expand)
     planner = solver.Planner(net, ExpansionParams(cps=2, alpha=1))
     admitted = []
     for i in range(3):
         add = [Stream(f"s{i}-{j}", src, ends[j % 3], 1000, 125)
                for j, src in enumerate(ends[3:12])]
-        sizes.clear()
+        listed.clear()
+        alive.clear()
         planner.iterate(StreamBatch(i, add, admitted[:2]))
         admitted = list(planner.state.admitted)
-        # one distance per destination, the first made by the batch itself
-        assert sizes == [0, 1, 2] + [3] * (len(add) - 3)
-        assert all(ref() is None for ref in alive)
+        # the batch's three destinations, none relaxed before its first search
+        # and all three after it
+        assert listed == [dict.fromkeys(ends[:3], True)] + [
+            dict.fromkeys(ends[:3], False)
+        ] * (len(add) - 1)
+        assert len(alive) == 3 and all(ref() is None for ref in alive)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -409,11 +435,77 @@ def test_each_destination_is_relaxed_once_per_batch(monkeypatch, k):
     relaxed = Counter()
     real_relax = routing._relax
 
-    def relax(ix, d):
-        relaxed[ix.names[d]] += 1
-        return real_relax(ix, d)
+    def relax(ix, dests):
+        relaxed.update(ix.names[d] for d in dests)
+        return real_relax(ix, dests)
 
     monkeypatch.setattr(routing, "_relax", relax)
     routes, _ = routes_of_one_batch(monkeypatch, net, pairs, k)
     assert all(len(r) == k for r in routes.values())  # every stream searched again
     assert relaxed == Counter({dst: 1 for _, dst in pairs})
+
+
+def assert_batch_matches_reference(net):
+    """`_relax` from every node at once, bridges too, equals the reference
+    relaxation of each node alone, distances and tight counts."""
+    ix = _index(net)
+    dests = list(range(len(ix.names)))
+    got = _relax(ix, dests)
+    assert len(got) == len(dests)
+    for d, (dist, count) in zip(dests, got):
+        want = reference_relax(ix, d)
+        assert dist == want[0].tolist(), ix.names[d]
+        assert count == want[1].tolist(), ix.names[d]
+    # plain ints, which the walks and repairs add and compare fastest
+    assert {type(x) for dist, count in got for x in dist + count} <= {int}
+    return ix, got
+
+
+@pytest.mark.parametrize("name", list(ORACLE_NETS))
+def test_batched_relax_matches_the_reference(name):
+    ix, got = assert_batch_matches_reference(ORACLE_NETS[name]())
+    # an entry of a batch is that destination relaxed alone, or in any order
+    sample = Random(name).sample(range(len(ix.names)), min(8, len(ix.names)))
+    for d in sample:
+        assert _relax(ix, [d]) == [got[d]]
+    assert _relax(ix, sample) == [got[d] for d in sample]
+    assert _relax(ix, []) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    waxman=st.booleans(),
+    size=st.integers(2, 30),
+    cols=st.integers(2, 6),
+    seed=st.integers(0, 2**16),
+    drop=st.sampled_from([0.0, 0.1, 0.3]),
+)
+def test_batched_relax_matches_the_reference_on_drawn_nets(waxman, size, cols, seed, drop):
+    """Waxman and grid nets, with a share of their directed links dropped so
+    that some bridges cannot reach some destinations."""
+    net = gen_waxman(size, seed=seed) if waxman else gen_grid(2 + size % 5, cols)
+    rng = Random(seed)
+    links = [l for l in net.links.values() if rng.random() >= drop]
+    assert_batch_matches_reference(Network(net.nodes.values(), links))
+
+
+def test_relax_leaves_bridges_that_cannot_reach_the_destination_far():
+    net = one_way_ring_net()  # b2 and b3 cannot reach b4, b0 or b1
+    ix, got = assert_batch_matches_reference(net)
+    dist, count = got[ix.id["d0"]]
+    for x in ("b2", "b3", "d2", "d3"):
+        assert (dist[ix.id[x]], count[ix.id[x]]) == (_FAR, 0), x
+    reach = [ix.id[x] for x in ("d0", "b0", "b1", "b4")]
+    assert [dist[x] for x in reach] == [0, 1, 2, 2]
+    assert [count[x] for x in reach] == [0, 1, 1, 1]
+
+
+def test_a_bridge_destination_keeps_distance_0_and_no_tight_out_link():
+    net = gen_ring(4)
+    ix, got = assert_batch_matches_reference(net)
+    dist, count = got[ix.id["b1"]]
+    bridges = [ix.id[f"b{i}"] for i in range(4)]
+    assert [dist[x] for x in bridges] == [1, 0, 1, 2]
+    assert [count[x] for x in bridges] == [1, 0, 1, 2]
+    # no end device is ever interior, so none gets a distance
+    assert all(dist[ix.id[f"d{i}"]] == _FAR for i in range(4))

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsnplan.model import BRIDGE, END_DEVICE, Link, Network, Node
+from tsnplan.routing import Route
 from tsnplan.timing import (
     OccupancySchedule,
     OracleBoundExceeded,
@@ -65,6 +67,35 @@ def test_link_occupancy_shift_equivariance(phi):
     shifted = link_occupancy(net, s, route, phi)
     assert shifted.arrival == base.arrival + phi
     assert shifted.entries == tuple((k, a + phi, b + phi) for k, a, b in base.entries)
+
+
+@given(
+    hops=st.lists(
+        st.tuples(st.integers(1, 3000), st.integers(0, 9), st.integers(0, 9)),
+        min_size=1, max_size=5,
+    ),
+    size=st.integers(1, 1500),
+    phase=st.integers(0, 100),
+)
+def test_link_occupancy_sums_each_hop(hops, size, phase):
+    """Each hop starts when the last ends, plus its propagation delay and, at
+    an interior bridge, that bridge's processing delay; a hop lasts
+    `transmission_time`. A link of rate 0 raises."""
+    names = [f"n{i}" for i in range(len(hops) + 1)]
+    nodes = [Node(x, BRIDGE, proc) for x, (_, _, proc) in zip(names[1:], hops)]
+    links = [Link(u, v, rate, prop) for u, v, (rate, prop, _) in zip(names, names[1:], hops)]
+    net = Network([Node(names[0], END_DEVICE)] + nodes, links)
+    s = mkstream("s", period=10**6, size=size, src=names[0], dst=names[-1])
+    occ = link_occupancy(net, s, Route(tuple(links)), phase)
+    t, want = phase, []
+    for i, (rate, prop, proc) in enumerate(hops):
+        end = t + transmission_time(size, rate)
+        want.append(((names[i], names[i + 1]), t, end))
+        t = end + prop + (proc if i < len(hops) - 1 else 0)
+    assert occ == OccupancySchedule(tuple(want), t)
+    links[-1] = Link(names[-2], names[-1], 0)
+    with pytest.raises(ValueError, match="rate"):
+        link_occupancy(net, s, Route(tuple(links)), phase)
 
 
 def test_single_link_route():
