@@ -26,8 +26,8 @@ satisfies sa - eb < m < ea - sb. So the starts in a class that can conflict
 with a query interval lie in one window per such m, as wide as the query
 plus the class's longest interval, and `searchsorted` finds each window.
 When the windows touch, or outnumber the class's rows or `MAX_WINDOWS`, the
-query scans one window that spans them all instead. `overlap_modulo`, the
-form of `periodic_overlap` for a known gcd, is the exact filter on every
+query scans one window that spans them all instead. `overlap_modulo`
+(timing), the rule above for a known gcd, is the exact filter on every
 candidate, with the gcd of each query row and class computed once.
 
 Only the queued rows search. A queued row searches every class on its link
@@ -44,7 +44,7 @@ A vertex is a row of integer columns: color code, route index and phase.
 Insertion appends the row to one flat int64 buffer; the columns take all
 buffered rows in one write per column at their next read. Each live
 (stream, route index) keeps its route, its phase-0 schedule and its used
-phases, for `config` and the duplicate check. A join builds the schedule
+phases, for `configs` and the duplicate check. A join builds the schedule
 rows (link code, period, start, end) of all queued (stream, route) pairs in
 one call and shifts them by each queued phase. The edges live only in the
 CSR (indptr, indices) of the joined vertices. A new edge's later vid is
@@ -105,10 +105,6 @@ class Configuration(NamedTuple):
     route: Route
     phase: int
     schedule: OccupancySchedule
-
-    @property
-    def key(self) -> tuple[str, int, int]:
-        return (self.stream.id, self.route_index, self.phase)
 
 
 def _rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -266,9 +262,6 @@ class ConflictGraph:
         self.join_queued()
         return len(self._indices) // 2
 
-    def colors(self) -> set[str]:
-        return set(self._color_code)
-
     def _column(self, name: str) -> np.ndarray:
         if self._pending:  # the pending rows join the columns, one write each
             rows = np.frombuffer(self._pending, dtype=np.int64).reshape(-1, 3)
@@ -279,10 +272,6 @@ class ConflictGraph:
             self._pending = array("q")
         return self._vert[name]
 
-    def vids_of(self, stream_id: str) -> list[int]:
-        code = self._color_code.get(stream_id, -1)
-        return np.flatnonzero(self._column("color") == code).tolist()
-
     def columns(self, stream_ids: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per vertex: the position of its stream in `stream_ids` (-1 when
         it is not listed), its route index and its phase."""
@@ -291,9 +280,6 @@ class ConflictGraph:
         index = np.array([where.get(c, -1) for c in codes], dtype=np.int64)
         at = np.searchsorted(codes, self._column("color"))
         return index[at], self._column("route"), self._column("phase")
-
-    def config(self, vid: int) -> Configuration:
-        return self.configs([vid])[0]
 
     def configs(self, vids: list[int]) -> list[Configuration]:
         """The configuration of each vertex in `vids`, in order, with each

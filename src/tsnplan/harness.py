@@ -27,6 +27,7 @@ from .model import (
     Node,
     Stream,
     StreamBatch,
+    _int_field,
     validate_network,
 )
 from .routing import Route
@@ -356,15 +357,18 @@ def load_plan(path, net: Network) -> TrafficPlan:
             ints = [spec[k] for k in ("period", "size", "phase")]
             if any(type(v) is not int for v in ints) or spec["phase"] < 0:
                 raise ValueError(f"{sid}: period, size, phase must be ints, phase >= 0")
+            route_index = _int_field(spec, "route_index", 0)
+            if route_index < 0:
+                raise ValueError(f"{sid}: route_index must be >= 0, got {route_index}")
             nodes = spec["nodes"]
             route = Route(tuple(net.link(a, b) for a, b in zip(nodes, nodes[1:])))
             route.check(net)
             stream = Stream(sid, nodes[0], nodes[-1], spec["period"], spec["size"])
             assignments[sid] = Configuration(
-                stream, spec.get("route_index", 0), route, spec["phase"],
+                stream, route_index, route, spec["phase"],
                 link_occupancy(net, stream, route, 0),
             )
-        return TrafficPlan(d.get("iteration", 0), assignments)
+        return TrafficPlan(_int_field(d, "iteration", 0), assignments)
     except KeyError as e:
         raise ConfigError(f"cannot read plan {path}: no field or link {e}") from None
     except (OSError, ValueError, TypeError, IndexError, AttributeError) as e:

@@ -77,9 +77,6 @@ class Network:
         for lst in self._out.values():
             lst.sort(key=lambda l: l.dst)
 
-    def node(self, nid: str) -> Node:
-        return self.nodes[nid]
-
     def link(self, src: str, dst: str) -> Link:
         return self.links[(src, dst)]
 

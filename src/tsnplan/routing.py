@@ -85,10 +85,6 @@ class Route:
     def hop_count(self) -> int:
         return len(self.links)
 
-    @property
-    def link_keys(self) -> tuple[tuple[str, str], ...]:
-        return tuple(l.key for l in self.links)
-
     def check(self, net: Network) -> None:
         if not self.links:
             raise ValueError("empty route")
@@ -268,11 +264,6 @@ def _walk(
                 f"no tight out-link from {ix.names[v]!r} toward {ix.names[d]!r}"
             )
     return tuple(path)
-
-
-def shortest_path(net: Network, src: str, dst: str) -> Route:
-    """Minimum-hop route between two end devices."""
-    return candidate_routes(net, src, dst, 1)[0]
 
 
 def candidate_routes(

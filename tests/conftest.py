@@ -10,6 +10,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tsnplan.conflict_graph import Configuration
@@ -17,7 +18,7 @@ from tsnplan.model import BRIDGE, END_DEVICE, Link, Network, Node, Stream
 from tsnplan.routing import Route
 from tsnplan.timing import link_occupancy
 
-EPISODE = Path(__file__).resolve().parents[1] / "perfbench" / "episode.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def shared_link_net(n_pairs: int = 4, rate: int = 1000, prop: int = 1,
@@ -64,19 +65,29 @@ def mkstream(sid: str, period: int = 100, size: int = 500, src: str = "a0",
     return Stream(id=sid, src=src, dst=dst, period=period, size=size)
 
 
-@pytest.fixture(scope="session")
-def episode():
-    """perfbench/episode.py as a module, imported without changes; the
+def load_perfbench(name: str):
+    """perfbench/{name}.py as a module, imported without changes; the
     benchmark directory it puts on sys.path for its own imports is taken off
     again."""
     path = list(sys.path)
-    spec = importlib.util.spec_from_file_location("perfbench_episode", EPISODE)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(module)
     finally:
         sys.path[:] = path
     return module
+
+
+@pytest.fixture(scope="session")
+def episode():
+    return load_perfbench("episode")
+
+
+@pytest.fixture(scope="session")
+def tracing():
+    """The benchmark's tracer, which wraps the layer functions by name."""
+    return load_perfbench("tracing")
 
 
 @pytest.fixture
@@ -97,8 +108,23 @@ def build_config(net: Network, stream: Stream, route_index: int, route: Route,
     return Configuration(stream, route_index, route, phase, base)
 
 
+def colors(g) -> set[str]:
+    """The ids of the streams that have vertices in `g`."""
+    return {c.stream.id for c in g.configs(list(range(g.vertex_count)))}
+
+
+def vids_of(g, stream_id: str) -> list[int]:
+    """The vids of `stream_id`'s vertices in `g`, ascending."""
+    return np.flatnonzero(g.columns([stream_id])[0] == 0).tolist()
+
+
+def config_keys(g, vids) -> list[tuple[str, int, int]]:
+    """The (stream id, route index, phase) of each vertex in `vids`, in order."""
+    return [(c.stream.id, c.route_index, c.phase) for c in g.configs(list(vids))]
+
+
 def live_vids(g) -> list[int]:
-    return sorted(v for c in g.colors() for v in g.vids_of(c))
+    return sorted(v for c in colors(g) for v in vids_of(g, c))
 
 
 def neighbors(g, vid: int) -> list[int]:

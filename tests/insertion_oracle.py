@@ -1,18 +1,18 @@
 """Reference insertion for the conflict-graph tests.
 
 `linear_scan_csr` joins each vertex of a graph on its own, in vid order, by
-scanning every interval stored on each of its links with
-`periodic_overlap`. That is the per-vertex, per-link scan the graph used
-before the indexed join: slow, but obviously right, which makes it the
-oracle `ConflictGraph.join_queued` is checked against. It reads the graph
-only through `vertex_count` and `config`.
+scanning every interval stored on each of its links with `overlap_modulo`,
+one gcd per stored interval. That is the per-vertex, per-link scan the
+graph used before the indexed join: slow, but obviously right, which makes
+it the oracle `ConflictGraph.join_queued` is checked against. It reads the
+graph only through `vertex_count` and `configs`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from tsnplan.timing import periodic_overlap
+from tsnplan.timing import overlap_modulo
 
 
 class _Bucket:
@@ -48,8 +48,8 @@ class _Bucket:
         """Vids of stored intervals of other colors whose periodic repetitions
         overlap [start, end) repeated with `period`."""
         n = self.n
-        hit = periodic_overlap(
-            start, end, period, self.start[:n], self.end[:n], self.period[:n]
+        hit = overlap_modulo(
+            start, end, self.start[:n], self.end[:n], np.gcd(period, self.period[:n])
         )
         return self.vid[:n][hit & (self.color[:n] != color)]
 
@@ -60,8 +60,7 @@ def linear_scan_csr(g) -> tuple[np.ndarray, np.ndarray]:
     buckets: dict[tuple[str, str], _Bucket] = {}
     color_code: dict[str, int] = {}
     rows: list[list[int]] = []
-    for vid in range(g.vertex_count):
-        cfg = g.config(vid)
+    for vid, cfg in enumerate(g.configs(list(range(g.vertex_count)))):
         code = color_code.setdefault(cfg.stream.id, len(color_code))
         period, phase = cfg.stream.period, cfg.phase
         hits = []

@@ -58,14 +58,14 @@ def _dijkstra(net: Network, src: str, dst: str, weights: dict | None) -> Route:
 
 def oracle_candidate_routes(net: Network, src: str, dst: str, k: int) -> list[Route]:
     routes = [_dijkstra(net, src, dst, None)]
-    used: set[tuple[str, str]] = set(routes[0].link_keys)
+    used: set[tuple[str, str]] = {l.key for l in routes[0].links}
     while len(routes) < k:
         weights = {key: PENALTY_WEIGHT for key in used}
         nxt = _dijkstra(net, src, dst, weights)
         if any(nxt.links == r.links for r in routes):
             break
         routes.append(nxt)
-        used.update(nxt.link_keys)
+        used.update(l.key for l in nxt.links)
     return routes
 
 

@@ -7,7 +7,9 @@ comes from `perfbench/episode.py` itself, imported without changes, so
 these are the benchmark's own numbers. A change that moves a count says
 which and why in `CHANGES.md`, and updates the value here. The join's
 memory per pass and the solver's memory per solve are pinned on the same
-episodes.
+episodes. A tiny episode of each workload also runs under the benchmark's
+tracer, `perfbench/tracing.py`, which fails when a name it wraps or reads
+is gone from the program.
 """
 
 import tracemalloc
@@ -53,6 +55,22 @@ def test_benchmark_counts_are_unchanged(episode, workload, seed):
     assert ep["invalid_plans"] == 0, ep["problems"]
     keys = ("batches", "offered", "rejected", "vertices", "edges", "slots", "plan_sha256")
     assert ep["counts"] == dict(zip(keys, COUNTS[workload, seed]))
+
+
+@pytest.mark.parametrize("workload", sorted({w for w, _ in COUNTS}))
+def test_a_traced_tiny_episode_counts_as_an_untraced_one(episode, tracing, workload):
+    """Every name the benchmark's tracer wraps or reads still exists, and a
+    traced tiny episode at seed 0 passes `layer_metrics`'s consistency
+    checks and counts what an untraced one does."""
+    _, _, net, batches, planner = episode.setup(workload, 0, "tiny")
+    untraced = episode.run_episode(planner, net, batches)
+    _, _, net, batches, planner = episode.setup(workload, 0, "tiny")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = episode.run_episode(planner, net, batches, tracer)
+    _, errors, _ = episode.layer_metrics(tracer, traced)
+    assert errors == []
+    assert traced["invalid_plans"] == 0 and traced["counts"] == untraced["counts"]
 
 
 def peaks_of(monkeypatch, owner, name, episode, workload):

@@ -28,16 +28,20 @@ from tsnplan.harness import (
 from tsnplan.model import Stream, StreamBatch
 from tsnplan.routing import Route, candidate_routes
 from tsnplan.solver import Planner
-from tsnplan.timing import brute_force_conflict, frames_conflict, link_occupancy
+from tsnplan.timing import link_occupancy
 
+from conflict_oracle import brute_force_conflict, frames_conflict
 from conftest import (
     build_config,
+    colors,
+    config_keys,
     live_vids,
     max_phase,
     mkstream,
     neighbors,
     shared_link_net,
     through_route,
+    vids_of,
 )
 from insertion_oracle import linear_scan_csr
 from test_acceptance import HARMONIC, NON_HARMONIC, SIZES
@@ -59,8 +63,8 @@ def occupancy(net, c: Configuration):
 
 def fresh_copy(g: ConflictGraph) -> ConflictGraph:
     out = ConflictGraph()
-    for v in live_vids(g):
-        out.add_configuration(g.config(v))
+    for c in g.configs(live_vids(g)):
+        out.add_configuration(c)
     return out
 
 
@@ -70,7 +74,7 @@ def degrees(g: ConflictGraph) -> np.ndarray:
 
 def edge_keys(g: ConflictGraph) -> set:
     return {
-        frozenset((g.config(u).key, g.config(v).key))
+        frozenset(config_keys(g, [u, v]))
         for u in live_vids(g)
         for v in neighbors(g, u)
     }
@@ -166,7 +170,7 @@ def test_a_plain_tuple_adds_the_same_vertex(shared_net):
     g = ConflictGraph()
     c = cfg(shared_net, "s0", 0, 0)
     v = g.add_configuration(tuple(c))
-    assert g.config(v) == c
+    assert g.configs([v])[0] == c
     with pytest.raises(DuplicateConfiguration, match=r"\('s0', 0, 0\) already present"):
         g.add_configuration(c)
 
@@ -190,8 +194,8 @@ def test_a_stream_or_route_other_than_the_added_one_raises():
     assert g.vertex_count == 1 and g.slot_count == 1
     v = g.add_configuration(build_config(net, replace(s), 0, Route(route_a.links), 10))
     w = g.add_configuration(build_config(net, s, 1, route_b, 10))
-    assert [g.config(u).route for u in (v, w)] == [route_a, route_b]
-    assert {g.config(u).stream.period for u in range(3)} == {1000}
+    assert [c.route for c in g.configs([v, w])] == [route_a, route_b]
+    assert {c.stream.period for c in g.configs([0, 1, 2])} == {1000}
     assert g.edge_count == 0
 
 
@@ -208,17 +212,17 @@ def test_queued_vertices_are_visible_before_the_join(shared_net):
     c = g.add_configuration(cfg(shared_net, "s1", 1, 60))
     assert len(g._indptr) == 3  # a, b and c are queued
     assert (a, b, c) == (2, 3, 4) and g.vertex_count == 5 and g.slot_count == 5
-    assert g.vids_of("s0") == [0, a] and g.vids_of("s2") == [b]
+    assert vids_of(g, "s0") == [0, a] and vids_of(g, "s2") == [b]
     index, route, phase = g.columns(["s2", "s0"])
     assert index.tolist() == [1, -1, 1, 0, -1]
     assert route.tolist() == [0] * 5 and phase.tolist() == [0, 0, 50, 1, 60]
-    assert g.config(b).key == ("s2", 0, 1) and g.config(c).key == ("s1", 0, 60)
+    assert config_keys(g, [b, c]) == [("s2", 0, 1), ("s1", 0, 60)]
     for stream_id, phase in (("s0", 0), ("s0", 50), ("s2", 1)):
         with pytest.raises(DuplicateConfiguration):
             g.add_configuration(cfg(shared_net, stream_id, int(stream_id[1]), phase))
     assert g.remove_streams(["s2"]) == 1
     assert g.vertex_count == 4 and g.slot_count == 5 and len(g._indptr) == 3
-    assert [g.config(v).key for v in range(4)] == [
+    assert config_keys(g, range(4)) == [
         ("s0", 0, 0), ("s1", 0, 0), ("s0", 0, 50), ("s1", 0, 60)]
     assert_joined_as_oracle(g)
     for stream_id, phase in (("s0", 0), ("s0", 50), ("s1", 60)):
@@ -268,7 +272,7 @@ def test_remove_only_color(shared_net):
     g.add_configuration(cfg(shared_net, "s0", 0, 0))
     g.add_configuration(cfg(shared_net, "s0", 0, 50))
     assert g.remove_streams(["s0"]) == 2
-    assert g.vertex_count == 0 and g.edge_count == 0 and g.colors() == set()
+    assert g.vertex_count == 0 and g.edge_count == 0 and colors(g) == set()
 
 
 def test_remove_absent_color(shared_net):
@@ -455,14 +459,15 @@ def test_edges_match_pairwise_predicate_and_rebuild(scenario):
     # each row lists, ascending, the live other-colour vertices that the
     # pairwise conflict predicate says conflict with it
     vids = live_vids(g)
+    config = dict(zip(vids, g.configs(vids)))
     for u in vids:
-        cu = g.config(u)
+        cu = config[u]
         expected = [
             v for v in vids
-            if g.config(v).stream.id != cu.stream.id
+            if config[v].stream.id != cu.stream.id
             and frames_conflict(
                 occupancy(net, cu), cu.stream.period,
-                occupancy(net, g.config(v)), g.config(v).stream.period,
+                occupancy(net, config[v]), config[v].stream.period,
             )
         ]
         assert neighbors(g, u) == expected
@@ -616,12 +621,13 @@ def test_join_of_phases_past_the_period_matches_brute_force(shared_net, seed):
         for phase in rng.sample(range(3 * period), 5):
             g.add_configuration(build_config(shared_net, s, 0, route, phase))
     vids = live_vids(g)
+    config = dict(zip(vids, g.configs(vids)))
     expected = {
         (u, v) for u, v in itertools.combinations(vids, 2)
-        if g.config(u).stream.id != g.config(v).stream.id
+        if config[u].stream.id != config[v].stream.id
         and brute_force_conflict(
-            occupancy(shared_net, g.config(u)), g.config(u).stream.period,
-            occupancy(shared_net, g.config(v)), g.config(v).stream.period,
+            occupancy(shared_net, config[u]), config[u].stream.period,
+            occupancy(shared_net, config[v]), config[v].stream.period,
         )
     }
     assert {(u, v) for u in vids for v in neighbors(g, u) if u < v} == expected
@@ -654,7 +660,7 @@ def assert_joined_as_oracle(g: ConflictGraph) -> None:
                store["end"].tolist())
     expected = []
     for v in range(len(g._indptr) - 1):
-        c = g.config(v)
+        c = g.configs([v])[0]
         expected += [(v, g._link_code[k], c.stream.period, s + c.phase, e + c.phase)
                      for k, s, e in c.schedule.entries]
     assert sorted(rows) == sorted(expected)
@@ -664,12 +670,12 @@ def assert_stream_sums_match_scans(g: ConflictGraph) -> None:
     """stream_sums gives, bit for bit, what a scan of each stream's vids
     adds up left to right, for every live colour and one absent id; equal
     degree sums and counts give equal exact average degrees."""
-    order = [*sorted(g.colors()), "ghost"]
+    order = [*sorted(colors(g)), "ghost"]
     pr = g.page_rank().tolist()
     ranks, counts = stream_sums(g, g.page_rank(), order)
     degree_sums, _ = stream_sums(g, degrees(g), order)
     for sid, rank, degree_sum, count in zip(order, ranks, degree_sums, counts):
-        members = g.vids_of(sid)
+        members = vids_of(g, sid)
         assert count == len(members)
         assert rank == sum(pr[v] for v in members)
         assert degree_sum == sum(len(neighbors(g, v)) for v in members)

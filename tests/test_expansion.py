@@ -32,12 +32,14 @@ from tsnplan.routing import candidate_routes
 
 from conftest import (
     build_config,
+    config_keys,
     live_vids,
     max_phase,
     mkstream,
     neighbors,
     shared_link_net,
     through_route,
+    vids_of,
 )
 from budget_oracle import oracle_extras, oracle_largest_remainder, oracle_uniform_split
 from enumeration_oracle import oracle_randomized_enumeration
@@ -415,7 +417,7 @@ def test_budget_avg_degree_and_page_rank_on_empty_graph():
         s = mkstream(sid, src=f"a{i}", dst=f"z{i}")
         g.add_configuration(build_config(net, s, 0, through_route(net, i), phi))
     assert g.edge_count == 2  # n0 at phase 1 meets both "old" frames
-    n0 = g.vids_of("n0")
+    n0 = vids_of(g, "n0")
     degree = Fraction(sum(len(neighbors(g, v)) for v in n0), len(n0))
     assert degree == Fraction(2, 3)
     assert budget_avg_degree(b, 10, g) == _metric_budget(
@@ -445,7 +447,7 @@ def test_expand_homogeneous_randomized_counts():
     streams = [ring_stream("s0"), ring_stream("s1", src="d1", dst="d3")]
     g, report = expand_on_ring(streams, ExpansionParams(cps=10))
     assert g.vertex_count == 20
-    assert len(g.vids_of("s0")) == 10 and len(g.vids_of("s1")) == 10
+    assert len(vids_of(g, "s0")) == 10 and len(vids_of(g, "s1")) == 10
     assert report.budgets == {"s0": 10, "s1": 10}
 
 
@@ -457,7 +459,7 @@ def test_expand_traffic_volume_counts():
     params = ExpansionParams(cps=10, alpha=5, strategy="traffic-volume")
     g, report = expand_on_ring(streams, params)
     assert report.budgets == {"s0": 11, "s1": 9}
-    assert len(g.vids_of("s0")) == 11 and len(g.vids_of("s1")) == 9
+    assert len(vids_of(g, "s0")) == 11 and len(vids_of(g, "s1")) == 9
 
 
 def test_expand_traffic_volume_above_the_mtu_keeps_the_base_budget():
@@ -477,14 +479,14 @@ def test_expand_traffic_volume_above_the_mtu_keeps_the_base_budget():
         routes = candidate_routes(net, s.src, s.dst, 2)
         pool = sum(max(0, mp + 1) for mp in max_phases(net, s, routes))
         assert report.budgets[s.id] >= params.alpha
-        assert len(g.vids_of(s.id)) >= min(params.alpha, pool)
+        assert len(vids_of(g, s.id)) >= min(params.alpha, pool)
 
 
 def test_expand_deterministic_ladder_layout():
     streams = [ring_stream("s0")]
     params = ExpansionParams(cps=6, scheme="deterministic")
     g, _ = expand_on_ring(streams, params)
-    got = sorted((g.config(v).route_index, g.config(v).phase) for v in live_vids(g))
+    got = sorted((c.route_index, c.phase) for c in g.configs(live_vids(g)))
     # delta is the single stream's 4-tick source transmission time
     assert got == [(0, 0), (0, 4), (0, 8), (1, 0), (1, 4), (1, 8)]
 
@@ -497,22 +499,22 @@ def test_expand_two_step_strategies_respect_global_budget():
         g, report = expand_on_ring(streams, params)
         assert g.vertex_count <= 8 * len(streams)
         for s in streams:  # everyone keeps at least the base budget
-            assert len(g.vids_of(s.id)) >= 3
+            assert len(vids_of(g, s.id)) >= 3
         assert report.budgets.keys() == {s.id for s in streams}
 
 
 def test_expand_never_touches_old_streams():
     old = ring_stream("old")
     g, _ = expand_on_ring([old], ExpansionParams(cps=5, rng_seed=7))
-    before = set(g.vids_of("old"))
+    before = set(vids_of(g, "old"))
     new = ring_stream("new", src="d1", dst="d3")
     net = gen_ring(4)
     batch = StreamBatch(1, add=[new])
     routes = {"new": candidate_routes(net, "d1", "d3", 2)}
     expand(g, batch, ExpansionParams(cps=5, rng_seed=7), net, routes, [old, new],
            Random(7))
-    assert set(g.vids_of("old")) == before
-    assert len(g.vids_of("new")) == 5
+    assert set(vids_of(g, "old")) == before
+    assert len(vids_of(g, "new")) == 5
 
 
 @pytest.mark.parametrize("strategy", ["homogeneous", "page-rank"])
@@ -566,7 +568,7 @@ def test_expand_adds_each_vertex_with_one_add_configuration_call(monkeypatch, st
     g, report = expand_on_ring(streams, params, cps_graph=g, live_extra=old)
     assert len(calls) == report.vertices_added == g.vertex_count - 4 > 0
     assert g.slot_count == g.vertex_count
-    assert sorted(calls) == sorted(g.config(v).key for v in range(4, g.vertex_count))
+    assert sorted(calls) == sorted(config_keys(g, range(4, g.vertex_count)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -600,9 +602,9 @@ def test_expand_budget_conservation(n_streams, cps, strategy, scheme, seed):
     assert g.vertex_count <= vbar
     assert g.vertex_count + sum(report.surplus.values()) == vbar
     for s in streams:
-        vids = g.vids_of(s.id)
+        vids = vids_of(g, s.id)
         assert len(vids) >= 1
-        assert len({g.config(v).key for v in vids}) == len(vids)
+        assert len(set(config_keys(g, vids))) == len(vids)
 
 
 def test_raw_extras_sum_property():

@@ -472,6 +472,28 @@ def test_cli_validate_refuses_a_period_of_2_pow_31(tmp_path, capsys):
     assert "2**31" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("stream_fields, plan_fields, message", [
+    ({"route_index": "bogus"}, {}, "route_index must be an int"),
+    ({"route_index": -7}, {}, "route_index must be >= 0"),
+    ({"route_index": 1.0}, {}, "route_index must be an int"),
+    ({}, {"iteration": "3"}, "iteration must be an int"),
+], ids=["route-index-str", "route-index-negative", "route-index-float", "iteration-str"])
+def test_cli_validate_refuses_a_malformed_route_index_or_iteration(
+    tmp_path, capsys, stream_fields, plan_fields, message
+):
+    gen_ring(4).save(tmp_path / "topology.json")
+    spec = {"nodes": ["d0", "b0", "b1", "d1"], "phase": 0, "period": 1000, "size": 125}
+    doc = {"streams": {"s0": {**spec, **stream_fields}}, **plan_fields}
+    (tmp_path / "plan.json").write_text(json.dumps(doc))
+    assert main(["validate", str(tmp_path / "plan.json"), str(tmp_path / "topology.json")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    # without the field the plan loads, with the field's default
+    (tmp_path / "plan.json").write_text(json.dumps({"streams": {"s0": spec}}))
+    plan = load_plan(tmp_path / "plan.json", gen_ring(4))
+    assert plan.iteration == 0 and plan.assignments["s0"].route_index == 0
+
+
 def test_cli_overrides(tmp_path):
     cfgp = write_cfg(tmp_path, iterations=0, initial_streams=6)
     out = tmp_path / "o4"

@@ -146,4 +146,4 @@ def test_network_json_round_trip(tmp_path):
     back = Network.load(path)
     assert back.to_dict() == net.to_dict()
     assert sorted(back.links) == sorted(net.links)
-    assert back.node("b0").processing_delay == net.node("b0").processing_delay
+    assert back.nodes["b0"].processing_delay == net.nodes["b0"].processing_delay

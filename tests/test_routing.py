@@ -25,7 +25,6 @@ from tsnplan.routing import (
     _repair,
     _walk,
     candidate_routes,
-    shortest_path,
 )
 
 from conftest import chain_net, chain_route
@@ -35,12 +34,12 @@ from routing_oracle import _dijkstra, oracle_candidate_routes, reference_relax
 def test_ring_tie_break_is_lexicographic():
     net = gen_ring(4)
     # both arcs d0-b0-b1-b2-d2 and d0-b0-b3-b2-d2 have 4 hops
-    assert shortest_path(net, "d0", "d2").nodes == ("d0", "b0", "b1", "b2", "d2")
+    assert candidate_routes(net, "d0", "d2", 1)[0].nodes == ("d0", "b0", "b1", "b2", "d2")
 
 
 def test_adjacent_bridges_unique_path():
     net = gen_ring(4)
-    assert shortest_path(net, "d0", "d1").nodes == ("d0", "b0", "b1", "d1")
+    assert candidate_routes(net, "d0", "d1", 1)[0].nodes == ("d0", "b0", "b1", "d1")
 
 
 def test_unreachable_raises():
@@ -49,7 +48,7 @@ def test_unreachable_raises():
         [Link("a", "b0", 1000), Link("b0", "a", 1000)],
     )
     with pytest.raises(Unreachable):
-        shortest_path(net, "a", "b")
+        candidate_routes(net, "a", "b", 1)
 
 
 def test_end_devices_are_never_interior():
@@ -66,7 +65,7 @@ def test_end_devices_are_never_interior():
     ]
     links = [l for a, b in pairs for l in (Link(a, b, 1000), Link(b, a, 1000))]
     net = Network(nodes, links)
-    assert shortest_path(net, "a", "z1").nodes == ("a", "b0", "b2", "b3", "b1", "z1")
+    assert candidate_routes(net, "a", "z1", 1)[0].nodes == ("a", "b0", "b2", "b3", "b1", "z1")
 
 
 def multi_homed_net() -> Network:
@@ -241,12 +240,12 @@ def test_walk_without_a_tight_out_link_raises():
 
 def test_one_way_ring_routes():
     net = one_way_ring_net()
-    assert shortest_path(net, "d0", "d2").nodes == ("d0", "d2")
+    assert candidate_routes(net, "d0", "d2", 1)[0].nodes == ("d0", "d2")
     assert [r.nodes for r in candidate_routes(net, "d0", "d2", 2)] == [
         ("d0", "d2"),
         ("d0", "b0", "b1", "b2", "d2"),
     ]
-    assert shortest_path(net, "b0", "b3").nodes == ("b0", "b4", "b3")
+    assert candidate_routes(net, "b0", "b3", 1)[0].nodes == ("b0", "b4", "b3")
     for src, dst in (("d2", "d0"), ("b3", "b4"), ("d3", "b1")):
         with pytest.raises(Unreachable):
             candidate_routes(net, src, dst, 2)
@@ -258,7 +257,7 @@ def test_unknown_or_disconnected_endpoint_is_unreachable():
         with pytest.raises(Unreachable):
             candidate_routes(net, src, dst, 2)
         with pytest.raises(Unreachable):
-            shortest_path(net, src, dst)
+            candidate_routes(net, src, dst, 1)
     net = Network(
         [Node("a", END_DEVICE), Node("b", END_DEVICE), Node("b0", BRIDGE)],
         [Link("a", "b0", 1000), Link("b0", "a", 1000)],
@@ -276,8 +275,8 @@ def test_candidate_routes_ring_both_arcs():
         ("d0", "b0", "b3", "b2", "d2"),
     ]
     # bridge-to-bridge segments are link-disjoint; only device stubs repeat
-    mid0 = set(routes[0].link_keys[1:-1])
-    mid1 = set(routes[1].link_keys[1:-1])
+    mid0 = {l.key for l in routes[0].links[1:-1]}
+    mid1 = {l.key for l in routes[1].links[1:-1]}
     assert not (mid0 & mid1)
 
 
@@ -290,8 +289,8 @@ def test_candidate_routes_tree_single_route():
 
 def test_candidate_routes_k1_is_shortest_path():
     net = gen_ring(5)
-    assert candidate_routes(net, "d0", "d2", 1)[0].links == shortest_path(
-        net, "d0", "d2"
+    assert candidate_routes(net, "d0", "d2", 1)[0].links == _dijkstra(
+        net, "d0", "d2", None
     ).links
     with pytest.raises(ValueError):
         candidate_routes(net, "d0", "d2", 0)
@@ -313,7 +312,7 @@ def test_route_properties():
     r = chain_route(net, 2)
     assert r.hop_count == 3
     assert r.nodes == ("dA", "b0", "b1", "dZ")
-    assert r.link_keys == (("dA", "b0"), ("b0", "b1"), ("b1", "dZ"))
+    assert tuple(l.key for l in r.links) == (("dA", "b0"), ("b0", "b1"), ("b1", "dZ"))
 
 
 def routes_of_one_batch(monkeypatch, net, pairs, k):

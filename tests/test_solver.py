@@ -21,7 +21,7 @@ from tsnplan.harness import (
     plan_to_dict,
 )
 from tsnplan.model import END_DEVICE, Network, Node, Stream, StreamBatch, hypercycle
-from tsnplan.routing import Route, shortest_path
+from tsnplan.routing import Route, candidate_routes
 from tsnplan.solver import (
     Planner,
     RequiredColorUnsatisfiable,
@@ -34,7 +34,9 @@ from tsnplan.solver import (
 )
 from tsnplan.timing import OracleBoundExceeded, link_occupancy
 
-from conftest import build_config, mkstream, neighbors, shared_link_net, through_route
+from conftest import (
+    build_config, colors, mkstream, neighbors, shared_link_net, through_route,
+)
 from solver_oracle import oracle_gfh_solve
 
 
@@ -272,7 +274,7 @@ def test_offensive_beats_defensive_by_reconfiguring():
     assert o is not None and o[1] == set()
     selection, rejected = choose_plan(d, o)
     assert rejected == set()
-    assert g.config(selection["old"]).phase == 10
+    assert g.configs([selection["old"]])[0].phase == 10
 
 
 def test_offensive_equals_defensive_when_nothing_moves():
@@ -373,7 +375,7 @@ def test_validate_plan_sweeps_each_link_over_its_own_hypercycle():
     plan = TrafficPlan(0, {})
     for i, period in zip((0, 2, 4), (997, 1009, 1013)):
         s = Stream(f"s{i}", f"d{i}", f"d{i + 1}", period, 125)
-        route = shortest_path(net, s.src, s.dst)
+        route = candidate_routes(net, s.src, s.dst, 1)[0]
         plan.assignments[s.id] = build_config(net, s, 0, route, 0)
     t0 = time.perf_counter()
     assert validate_plan(net, plan) == []
@@ -493,7 +495,7 @@ def test_iterate_set_algebra_with_deletes():
     p.iterate(StreamBatch(1, add=adds, delete=["s1", "s2"]))
     assert set(p.state.admitted) == {"s0", "s3", "s4"}
     assert set(p.state.plan.assignments) == {"s0", "s3", "s4"}
-    assert p.graph.colors() == {"s0", "s3", "s4"}
+    assert colors(p.graph) == {"s0", "s3", "s4"}
 
 
 def test_iterate_purges_rejected_streams():
@@ -504,7 +506,7 @@ def test_iterate_purges_rejected_streams():
                for i in range(4)]
     m = p.iterate(StreamBatch(0, add=streams))
     assert m.rejected >= 2
-    assert p.graph.colors() == set(p.state.admitted)
+    assert colors(p.graph) == set(p.state.admitted)
     assert set(p.state.plan.assignments) == set(p.state.admitted)
     assert validate_plan(p.net, p.state.plan) == []
 
@@ -559,7 +561,7 @@ def test_unroutable_stream_leaves_its_budget_to_the_others():
     ]))
     assert m.rejected == 1 and set(p.state.admitted) == {"s0"}
     assert m.vertices == 6  # cps x one live stream, all of it for s0
-    assert p.graph.colors() == {"s0"}
+    assert colors(p.graph) == {"s0"}
     assert m.routing_ms >= 0 and m.total_ms >= m.routing_ms + m.solving_ms
 
 

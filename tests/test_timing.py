@@ -7,12 +7,11 @@ from tsnplan.routing import Route
 from tsnplan.timing import (
     OccupancySchedule,
     OracleBoundExceeded,
-    brute_force_conflict,
-    frames_conflict,
     link_occupancy,
     transmission_time,
 )
 
+from conflict_oracle import brute_force_conflict, frames_conflict
 from conftest import chain_net, chain_route, max_phase, mkstream
 
 L = ("n0", "n1")  # arbitrary shared directed link for synthetic schedules
